@@ -1,98 +1,54 @@
-"""Small exact linear algebra over integers and rationals.
+"""Small exact linear algebra over the integers.
 
-Determinants use fraction-free Bareiss elimination; systems are solved by
-Cramer's rule.  Matrices here are tiny (the ambient dimension of a polytope),
-so clarity and exactness win over asymptotics.
+One routine does the elimination: gauss_jordan, a fraction-free
+Gauss-Jordan pass (Bareiss 1968, Math. Comp. 22) on an augmented matrix
+[A | R] that yields det A and adj(A) R together -- a solve when R is a
+column, the adjugate when R is the identity.  Every intermediate entry is a
+minor of the input, so each division is exact and no Fraction is formed.
+Matrices here are tiny (the ambient dimension of a polytope), so clarity and
+exactness win over asymptotics.
 """
 
-from fractions import Fraction
-from math import lcm
+from operator import mul
 
 
-def det_int(rows) -> int:
-    """Determinant of a square integer matrix (Bareiss, exact)."""
+def gauss_jordan(rows, extra):
+    """(det A, adj(A) R) for a square integer matrix A and an integer matrix R
+    with one row per row of A, by one fraction-free Gauss-Jordan pass on
+    [A | R]; (0, None) when A is singular.  adj(A) = det(A) A^-1."""
     n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
+    m = [list(a) + list(e) for a, e in zip(rows, extra)]
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    for k in range(n):
+        # m[i] holds columns k.. of row i; eliminated columns are dropped.
+        if m[k][0] == 0:
             for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
+                if m[i][0]:
+                    # swap and negate, which keeps the determinant
+                    m[k], m[i] = [-x for x in m[i]], m[k]
                     break
             else:
-                return 0
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pk - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return sign * m[-1][-1]
-
-
-def solve_cramer(rows, rhs):
-    """Solve the n x n integer system A x = b exactly; None when A is singular.
-
-    rhs entries may be ints or Fractions; the solution is a tuple of Fractions.
-    """
-    n = len(rows)
-    d = det_int(rows)
-    if d == 0:
-        return None
-    fracs = [Fraction(x) for x in rhs]
-    scale = lcm(*(f.denominator for f in fracs))
-    bi = [int(f * scale) for f in fracs]
-    sol = []
-    for j in range(n):
-        mj = [list(r) for r in rows]
+                return 0, None
+        pk = m[k][0]
+        row_k = m[k] = m[k][1:]
         for i in range(n):
-            mj[i][j] = bi[i]
-        sol.append(Fraction(det_int(mj), d * scale))
-    return tuple(sol)
-
-
-def kernel_vector_int(rows, n: int):
-    """A nonzero integer kernel vector of an (n-1) x n integer matrix.
-
-    Returns the vector of signed maximal minors, which spans the kernel when
-    the matrix has rank n - 1, and None when the rank is smaller.
-    """
-    if n == 1:
-        return (1,)
-    vec = []
-    for j in range(n):
-        sub = [tuple(r[:j]) + tuple(r[j + 1 :]) for r in rows]
-        vec.append((-1) ** j * det_int(sub))
-    if all(x == 0 for x in vec):
-        return None
-    return tuple(vec)
+            if i != k:
+                mik = m[i][0]
+                if mik:
+                    m[i] = [(x * pk - mik * y) // prev for x, y in zip(m[i][1:], row_k)]
+                else:
+                    m[i] = [x * pk // prev for x in m[i][1:]]
+        prev = pk
+    return prev, m
 
 
 def inverse_unimodular(rows):
-    """Integer inverse of an integer matrix with determinant +-1 (adjugate)."""
-    n = len(rows)
-    d = det_int(rows)
+    """Integer inverse of an integer matrix with determinant +-1 (Gauss-Jordan
+    on [M | I])."""
+    d, adj = gauss_jordan(rows, identity(len(rows)))
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (determinant {d})")
-    if n == 1:
-        return ((d,),)
-    rows = [tuple(r) for r in rows]
-    inv = []
-    for i in range(n):
-        out_row = []
-        for j in range(n):
-            minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
-            out_row.append(d * (-1) ** (i + j) * det_int(minor))
-        inv.append(tuple(out_row))
-    return tuple(inv)
+    return tuple(tuple(d * x for x in row) for row in adj)
 
 
 def transpose(rows):
@@ -100,11 +56,11 @@ def transpose(rows):
 
 
 def mat_vec(rows, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in rows)
+    return tuple(dot(row, v) for row in rows)
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def identity(n: int):

@@ -104,12 +104,19 @@ def count_at(a, s: int, kappa, sigma1_cap=None, prune: bool = True) -> int:
     """N(a; kappa) exactly; for s = 1 the cap must reach kappa + s so that no
     member below the threshold is missed."""
     kappa = Fraction(kappa)
+    check_count_cap(s, kappa, sigma1_cap)
+    return census(a, s, sigma1_cap, prune).count(kappa)
+
+
+def check_count_cap(s: int, kappa, sigma1_cap) -> None:
+    """Raise CapRequired unless a census capped at sigma1_cap counts every
+    member below kappa (always true for s >= 2, whose classes are finite)."""
+    kappa = Fraction(kappa)
     if s == 1 and (sigma1_cap is None or sigma1_cap < kappa + s):
         raise CapRequired(
             f"counting at kappa = {kappa} with s = 1 needs sigma1_cap >= "
             f"kappa + s = {kappa + s}"
         )
-    return census(a, s, sigma1_cap, prune).count(kappa)
 
 
 def count_at_infinity(a, s: int, prune: bool = True):

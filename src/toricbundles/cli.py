@@ -17,8 +17,7 @@ from . import families, moves, polytope
 from .census import (
     InfiniteMarker,
     census,
-    count_at,
-    count_at_infinity,
+    check_count_cap,
     is_fano,
     is_monotone,
     verify_step_structure,
@@ -80,8 +79,9 @@ def cmd_census(args) -> int:
     report = None if args.s == 1 else verify_step_structure(res)
     count = None
     if args.kappa is not None:
-        count = count_at(a, args.s, args.kappa, sigma1_cap=args.cap)
-    infinity = count_at_infinity(a, args.s) if args.infinity else None
+        check_count_cap(args.s, args.kappa, args.cap)
+        count = res.count(args.kappa)
+    infinity = res.stable_count if args.infinity else None
     if args.json:
         obj = {
             "a": list(a),
@@ -385,8 +385,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_kappa(argv: list[str]) -> list[str]:
+    """Join "--kappa -3/2" into "--kappa=-3/2": argparse reads a negative
+    fraction as an option string, not as the value of --kappa."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--kappa" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--kappa={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_bind_kappa(list(argv)))
     try:
         return args.func(args)
     except ToricError as exc:

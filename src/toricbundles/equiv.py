@@ -113,6 +113,7 @@ def enumerate_b(a, c: int, s: int) -> list[Vec]:
             grow(prefix + (v,), v, remaining - v, psum + v, ns2)
 
     grow((), 0, target, 0, 0)
+    del grow  # it refers to itself, so only the cyclic collector would free it
     return [b for b in out if truncated_sym_equal(u, (0,) + b, m)]
 
 

@@ -17,8 +17,9 @@ normal form inside an arbitrary H-description.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from . import _linalg as la
 from .errors import InvalidKappa, LengthMismatch, NotABundle, NotSimple, Unbounded
@@ -101,26 +102,37 @@ class DelzantPolytope:
 
     @classmethod
     def from_json_obj(cls, obj) -> "DelzantPolytope":
+        """Parse to_json_obj output; any malformed input raises ValueError."""
         if not isinstance(obj, dict):
             raise ValueError("polytope JSON must be an object")
         dim = obj.get("dim")
-        if not isinstance(dim, int):
+        if not _is_int(dim):
             raise ValueError("polytope JSON needs an integer 'dim'")
         raw = obj.get("facets")
         if not isinstance(raw, list) or not raw:
             raise ValueError("polytope JSON needs a non-empty 'facets' list")
         facets = []
         for item in raw:
+            if not isinstance(item, dict):
+                raise ValueError(f"facet must be an object: {item!r}")
             conormal = item.get("conormal")
-            if not isinstance(conormal, list) or not all(
-                isinstance(x, int) for x in conormal
-            ):
+            if not isinstance(conormal, list) or not all(_is_int(x) for x in conormal):
                 raise ValueError(f"facet conormal must be a list of integers: {item!r}")
+            if len(conormal) != dim:
+                raise ValueError(f"facet conormal must have length dim = {dim}: {item!r}")
             const = item.get("constant")
-            if not isinstance(const, (str, int)):
+            if not (isinstance(const, str) or _is_int(const)):
                 raise ValueError(f"facet constant must be 'p/q' or an integer: {item!r}")
-            facets.append(Facet(tuple(conormal), Fraction(const)))
+            try:
+                facets.append(Facet(tuple(conormal), Fraction(const)))
+            except ZeroDivisionError:
+                raise ValueError(f"facet constant has a zero denominator: {item!r}")
         return cls(dim, tuple(facets))
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; bool is an int subclass but stands for true/false."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -180,52 +192,70 @@ def vertices(P: DelzantPolytope) -> list[Vertex]:
     conormals do not span or a recession direction exists, and NotSimple when
     some vertex lies on more than n facets.
     """
+    return [v for v, _ in _corners(P)]
+
+
+@lru_cache(maxsize=8)
+def _corners(P: DelzantPolytope) -> tuple[tuple[Vertex, int], ...]:
+    """vertices(P), each with the determinant of its sorted active conormals.
+
+    Memoised, as is_delzant, vertices, recognize and fiber_fingerprint each
+    ask for the vertices of the same polytope; only results are cached, so
+    Unbounded and NotSimple are raised on every call.
+    """
     n = P.dim
     A = [f.conormal for f in P.facets]
-    b = [f.constant for f in P.facets]
     m = len(A)
     if m < n:
         raise Unbounded("fewer facets than the dimension; the polyhedron cannot be bounded")
-    spans = False
-    points: dict[tuple, None] = {}
+    # With integer constants b / scale a solution is num / (den * scale).
+    scale = lcm(*(f.constant.denominator for f in P.facets))
+    b = [int(f.constant * scale) for f in P.facets]
+    unit = la.identity(n)
+    points = {}  # reduced (num, den) -> determinant of the subset
+    # Column k of adj(A_S) is, up to sign, the signed maximal minors of S
+    # without its k-th facet, which span that (n-1)-subset's kernel.  The
+    # sign is immaterial: the conormals span, so at most one of +-ray is a
+    # recession direction.
+    rays: dict[tuple, tuple] = {}
     for idx in combinations(range(m), n):
-        sol = la.solve_cramer([A[i] for i in idx], [b[i] for i in idx])
-        if sol is None:
+        d, y = la.gauss_jordan([A[i] for i in idx], [(b[i],) + unit[k] for k, i in enumerate(idx)])
+        if not d:
             continue
-        spans = True
-        if all(la.dot(A[j], sol) <= b[j] for j in range(m)):
-            points[sol] = None
-    if not spans:
+        for k in range(n):
+            rays.setdefault(idx[:k] + idx[k + 1 :], tuple(row[k + 1] for row in y))
+        num = tuple(row[0] if d > 0 else -row[0] for row in y)
+        if all(la.dot(a, num) <= bj * abs(d) for a, bj in zip(A, b)):
+            g = gcd(d, *num)
+            points[tuple(x // g for x in num), abs(d) // g] = d
+    if not rays:
         raise Unbounded("facet conormals do not span the ambient space")
     if not points:
-        return []
-    for idx in combinations(range(m), n - 1):
-        ray = la.kernel_vector_int([A[i] for i in idx], n)
-        if ray is None:
-            continue
-        for d in (ray, tuple(-x for x in ray)):
-            if all(la.dot(A[j], d) <= 0 for j in range(m)):
+        return ()
+    for idx in sorted(rays):
+        for d in (rays[idx], tuple(-x for x in rays[idx])):
+            if all(la.dot(a, d) <= 0 for a in A):
                 raise Unbounded(f"recession direction {d}")
     out = []
-    for p in sorted(points):
-        act = frozenset(j for j in range(m) if la.dot(A[j], p) == b[j])
+    common = lcm(*(den for _, den in points))
+    for num, den in sorted(points, key=lambda p: [x * (common // p[1]) for x in p[0]]):
+        p = tuple(Fraction(x, den * scale) for x in num)
+        act = frozenset(j for j in range(m) if la.dot(A[j], num) == b[j] * den)
         if len(act) > n:
             raise NotSimple(f"vertex {p} lies on {len(act)} facets (> dim = {n})")
-        out.append(Vertex(p, act))
-    return out
+        out.append((Vertex(p, act), points[num, den]))
+    return tuple(out)
 
 
-def _delzant_reason(P: DelzantPolytope, verts: list[Vertex]) -> str:
-    """Empty string when P (with precomputed vertices) is Delzant, else why not."""
+def _delzant_reason(P: DelzantPolytope, corners) -> str:
+    """Empty string when P (with corners = _corners(P)) is Delzant, else why not."""
     for i, f in enumerate(P.facets):
         g = gcd(*(abs(x) for x in f.conormal))
         if g != 1:
             return f"conormal {f.conormal} of facet {i} is not primitive (gcd {g})"
-    if not verts:
+    if not corners:
         return "the polytope is empty"
-    for v in verts:
-        rows = [P.facets[i].conormal for i in sorted(v.active)]
-        d = la.det_int(rows)
+    for v, d in corners:
         if d not in (1, -1):
             return f"conormals at vertex {v.point} have determinant {d}"
     return ""
@@ -235,10 +265,9 @@ def is_delzant(P: DelzantPolytope) -> DelzantReport:
     """Check the Delzant conditions: simple, primitive conormals, and at every
     vertex the active conormals form a lattice basis (determinant +-1)."""
     try:
-        verts = vertices(P)
+        reason = _delzant_reason(P, _corners(P))
     except NotSimple as exc:
         return DelzantReport(False, f"not simple: {exc}")
-    reason = _delzant_reason(P, verts)
     return DelzantReport(True) if not reason else DelzantReport(False, reason)
 
 
@@ -330,33 +359,23 @@ def _corner_form(P, conormals, constants, base_active, fiber_active, far_facet, 
     far_facet / kappa_facet are the two facets the corner misses.  Returns a
     RecognizedForm or None.
     """
-    n = r + s
-
-    def attempt(order):
-        cols = [conormals[i] for i in order] + [conormals[i] for i in fiber_active]
-        H = tuple(tuple(cols[t][k] for t in range(n)) for k in range(n))
-        if la.det_int(H) not in (1, -1):
-            return None
-        uinv_t = tuple(tuple(-x for x in row) for row in la.inverse_unimodular(H))
-        eta_far = la.mat_vec(uinv_t, conormals[far_facet])
-        if eta_far != (1,) * r + (0,) * s:
-            return None
-        eta_kap = la.mat_vec(uinv_t, conormals[kappa_facet])
-        if eta_kap[r:] != (1,) * s:
-            return None
-        avals = tuple(-x for x in eta_kap[:r])
-        if any(x < 0 for x in avals):
-            return None
-        return H, eta_kap, avals
-
-    got = attempt(base_active)
-    if got is None:
+    # The corner's conormals are a lattice basis (P passed the Delzant check).
+    # H has them as columns; U^{-T} = -H^{-1}.
+    H = la.transpose([conormals[i] for i in base_active + fiber_active])
+    uinv_t = tuple(tuple(-x for x in row) for row in la.inverse_unimodular(H))
+    if la.mat_vec(uinv_t, conormals[far_facet]) != (1,) * r + (0,) * s:
         return None
-    order = tuple(f for _, f in sorted(zip(got[2], base_active)))
-    got = attempt(order)
-    if got is None:
+    eta_kap = la.mat_vec(uinv_t, conormals[kappa_facet])
+    if eta_kap[r:] != (1,) * s:
         return None
-    H, eta_kap, avals = got
+    # Ordering the base facets by a_i permutes the first r rows of U^{-T}
+    # alike, which leaves the far facet's image (1, ..., 1, 0, ..., 0).
+    perm = sorted(range(r), key=lambda i: (-eta_kap[i], base_active[i]))
+    order = tuple(base_active[i] for i in perm)
+    eta_kap = tuple(eta_kap[i] for i in perm) + eta_kap[r:]
+    avals = tuple(-x for x in eta_kap[:r])
+    if any(x < 0 for x in avals):
+        return None
 
     denom = constants[far_facet] + sum(constants[i] for i in order)
     if denom <= 0:
@@ -370,11 +389,41 @@ def _corner_form(P, conormals, constants, base_active, fiber_active, far_facet, 
         t = BundleTuple(r, s, avals, kappa)
     except InvalidKappa:
         return None
-    # U^{-T} = -H^{-1}, so U = -H^T.
-    U = tuple(tuple(-H[j][i] for j in range(n)) for i in range(n))
+    # U = -H^T with the base columns in the new order.
+    U = tuple(tuple(-x for x in conormals[i]) for i in order + fiber_active)
     if _facet_key(transform_polytope(P, U, w, lam)) != _facet_key(build(t)):
         return None
     return RecognizedForm(t, U, w, lam)
+
+
+def _facet_groups(m: int, missed) -> list[tuple[int, ...]]:
+    """The two facet groups of a simplex product, smaller first.
+
+    Every vertex misses one facet of each group, so the missed pairs must
+    form the complete bipartite graph on the groups; its sides are found by
+    2-colouring.  Returns [] when the pairs form no such graph with both
+    sides of size at least 2.
+    """
+    adj: list[list[int]] = [[] for _ in range(m)]
+    for i, j in missed:
+        adj[i].append(j)
+        adj[j].append(i)
+    side = [None] * m
+    side[0] = 0
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in adj[i]:
+            if side[j] is None:
+                side[j] = 1 - side[i]
+                stack.append(j)
+            elif side[j] == side[i]:
+                return []
+    groups = [tuple(i for i in range(m) if side[i] == c) for c in (0, 1)]
+    # Distinct vertices miss distinct pairs, so this count means complete.
+    if None in side or min(map(len, groups)) < 2 or len(missed) != len(groups[0]) * len(groups[1]):
+        return []
+    return sorted(groups, key=lambda g: (len(g), g))
 
 
 def recognize(P: DelzantPolytope) -> list[RecognizedForm]:
@@ -393,52 +442,41 @@ def recognize(P: DelzantPolytope) -> list[RecognizedForm]:
     if len(P.facets) != n + 2:
         raise NotABundle(f"{len(P.facets)} facets, expected dim + 2 = {n + 2}")
     try:
-        verts = vertices(P)
+        corners = _corners(P)
     except NotSimple as exc:
         raise NotABundle(f"not a Delzant polytope: not simple: {exc}")
-    reason = _delzant_reason(P, verts)
+    reason = _delzant_reason(P, corners)
     if reason:
         raise NotABundle(f"not a Delzant polytope: {reason}")
+    verts = [v for v, _ in corners]
     m = n + 2
     conormals = [f.conormal for f in P.facets]
     constants = [f.constant for f in P.facets]
-    missed = []
-    for v in verts:
-        pair = tuple(sorted(set(range(m)) - v.active))
-        assert len(pair) == 2
-        missed.append(pair)
+    missed = [tuple(sorted(set(range(m)) - v.active)) for v in verts]
 
     found: dict[tuple[int, int], RecognizedForm] = {}
-    for p in range(2, n + 1):
-        r = p - 1
-        s = n - r
-        if len(verts) != (r + 1) * (s + 1):
+    for base_group in _facet_groups(m, missed):
+        # The base conormals of a normal form sum to zero, and so do their
+        # images under any linear map: skip a group that cannot be the base.
+        if any(map(sum, zip(*(conormals[i] for i in base_group)))):
             continue
-        for base_group in combinations(range(m), p):
-            bset = frozenset(base_group)
-            pairs = set()
-            ok = True
-            for pr in missed:
-                if (pr[0] in bset) + (pr[1] in bset) != 1:
-                    ok = False
-                    break
-                pairs.add(pr)
-            if not ok or len(pairs) != len(verts):
+        r = len(base_group) - 1
+        s = n - r
+        bset = frozenset(base_group)
+        for v, pr in zip(verts, missed):
+            far = pr[0] if pr[0] in bset else pr[1]
+            kap = pr[1] if far == pr[0] else pr[0]
+            base_active = tuple(i for i in sorted(v.active) if i in bset)
+            fiber_active = tuple(i for i in sorted(v.active) if i not in bset)
+            form = _corner_form(
+                P, conormals, constants, base_active, fiber_active, far, kap, r, s
+            )
+            if form is None:
                 continue
-            for v, pr in zip(verts, missed):
-                far = pr[0] if pr[0] in bset else pr[1]
-                kap = pr[1] if far == pr[0] else pr[0]
-                base_active = tuple(i for i in sorted(v.active) if i in bset)
-                fiber_active = tuple(i for i in sorted(v.active) if i not in bset)
-                form = _corner_form(
-                    P, conormals, constants, base_active, fiber_active, far, kap, r, s
-                )
-                if form is None:
-                    continue
-                key = (r, s)
-                if key not in found or (found[key].scale != 1 and form.scale == 1):
-                    found[key] = form
-                break
+            key = (r, s)
+            if key not in found or (found[key].scale != 1 and form.scale == 1):
+                found[key] = form
+            break
     if not found:
         raise NotABundle("no facet bipartition matches the bundle normal form")
     return [found[k] for k in sorted(found)]

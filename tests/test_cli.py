@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, and round trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -146,3 +147,58 @@ def test_family_with_lift(capsys):
     code, out, _ = run(capsys, "family", "--k", "2")
     assert code == 0
     assert "K = 5" in out and "(2, 7)" in out
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": 2, "facets": [5, {"conormal": [1, 0], "constant": "1"}]},
+        {"dim": 1, "facets": [{"conormal": [1], "constant": "1/0"}]},
+        {"dim": 2, "facets": [{"conormal": [True, 0], "constant": "1"}]},
+        {"dim": True, "facets": [{"conormal": [1], "constant": "1"}]},
+        {"dim": 1, "facets": [{"conormal": [1], "constant": False}]},
+        {"dim": 2, "facets": [{"conormal": [1], "constant": "1"}]},
+    ],
+)
+def test_recognize_malformed_polytope_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "recognize", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["census", "polytope"])
+def test_negative_fraction_kappa(capsys, command):
+    spaced = run(capsys, command, "--a", "1", "--s", "3", "--kappa", "-3/2", "--json")
+    joined = run(capsys, command, "--a", "1", "--s", "3", "--kappa=-3/2", "--json")
+    assert spaced == joined and spaced[0] == 0
+    obj = json.loads(spaced[1])
+    if command == "census":
+        assert obj["count"] == {"kappa": "-3/2", "value": 1}
+    else:
+        assert obj["polytope"]["facets"][-1]["constant"] == "-3/2"
+        code, _, err = run(capsys, command, "--a", "1", "--s", "3", "--kappa", "-3")
+        assert code == 1 and err.startswith("InvalidKappa:")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--a", "1", "--s", "3", "--kappa", "--json"])
+    assert exc.value.code == 2
+
+
+def test_census_counts_from_one_enumeration(capsys, monkeypatch):
+    census_module = sys.modules["toricbundles.census"]
+    calls = []
+    real = census_module.deformation_class
+    monkeypatch.setattr(
+        census_module, "deformation_class", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    code, out, _ = run(capsys, "census", "--a", "1,4,4", "--s", "2", "--kappa", "8")
+    assert code == 0 and "N(8) = 2" in out
+    code, out, _ = run(capsys, "census", "--a", "1,4,4", "--s", "2", "--infinity")
+    assert code == 0 and "count at infinity: 2" in out
+    assert len(calls) == 2
+    code, _, err = run(capsys, "census", "--a", "5", "--s", "1", "--cap", "9", "--kappa", "9")
+    assert code == 1
+    assert err == (
+        "CapRequired: counting at kappa = 9 with s = 1 needs sigma1_cap >= kappa + s = 10\n"
+    )

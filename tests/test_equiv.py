@@ -1,5 +1,6 @@
 """Deformation equivalence: shift search, bounds, and class enumeration."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -219,3 +220,13 @@ def test_shift_vector_matches_shift_helper():
         v = (0,) + b
         assert elem_sym(u, 1) == elem_sym(v, 1)
         assert elem_sym(u, 2) == elem_sym(v, 2)
+
+
+def test_deformation_class_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        deformation_class((3, 10, 20), 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
