@@ -22,7 +22,7 @@ from .census import (
     is_monotone,
     verify_step_structure,
 )
-from .equiv import find_shift, k_min
+from .equiv import find_shift, k_min, shift_window
 from .errors import ToricError
 
 
@@ -74,13 +74,13 @@ def _emit_json(obj) -> None:
 
 def cmd_census(args) -> int:
     a = _canonical(args.a)
+    if args.kappa is not None:
+        shift_window(a, args.s, args.cap)  # the class's own errors come first
+        check_count_cap(args.s, args.kappa, args.cap)
     res = census(a, args.s, sigma1_cap=args.cap)
     fano = is_fano(a, args.s)
     report = None if args.s == 1 else verify_step_structure(res)
-    count = None
-    if args.kappa is not None:
-        check_count_cap(args.s, args.kappa, args.cap)
-        count = res.count(args.kappa)
+    count = None if args.kappa is None else res.count(args.kappa)
     infinity = res.stable_count if args.infinity else None
     if args.json:
         obj = {
@@ -290,7 +290,7 @@ def cmd_hirzebruch(args) -> int:
 
 def cmd_family(args) -> int:
     cert = families.generate_family(args.k, args.c, args.strategy)
-    lifted = families.lift_class(cert, args.lift) if args.lift else None
+    lifted = families.lift_class(cert, args.lift) if args.lift is not None else None
     if args.json:
         obj = {
             "k": cert.k,

@@ -81,40 +81,41 @@ def c_bounds(a) -> tuple[Fraction, Fraction]:
     return Fraction(-s1, r + 1), Fraction((r - 1) * s1, r)
 
 
-def enumerate_b(a, c: int, s: int) -> list[Vec]:
-    """All sorted non-negative b with find_shift(a, b, s) == c, by direct search.
+def _compositions(slots, remaining, cap, prefix=(), lo=0, psum=0, ps2=0):
+    """Stream prefix + t, in lexicographic order, for the non-decreasing t of
+    `slots` entries >= lo that sum to `remaining` with sigma_2(prefix + t) <= cap.
 
-    Candidates are the non-decreasing compositions of sigma_1(a) + (r+1)c;
-    branches whose partial sigma_2 already exceeds the target are cut (entries
-    are non-negative, so sigma_2 only grows), and survivors are filtered by
-    the full truncated sigma comparison.
+    psum and ps2 are sigma_1 and sigma_2 of the prefix.  Entries are
+    non-negative, so sigma_2 only grows and a value over the cap ends its level.
+    """
+    if slots == 1:
+        if remaining >= lo and ps2 + psum * remaining <= cap:
+            yield prefix + (remaining,)
+        return
+    for v in range(lo, remaining // slots + 1):
+        ns2 = ps2 + psum * v
+        if ns2 > cap:
+            break
+        yield from _compositions(
+            slots - 1, remaining - v, cap, prefix + (v,), v, psum + v, ns2
+        )
+
+
+def enumerate_b(a, c: int, s: int) -> list[Vec]:
+    """All sorted non-negative b with find_shift(a, b, s) == c, in lexicographic order.
+
+    The sigmas of u = (C, a+C) are computed once.  Compositions of sigma_1(u)
+    are streamed under the sigma_2(u) cut and kept when their first
+    m = min(r+1, s) sigmas equal those of u: sigma_i(0, b) = sigma_i(b), and
+    both vanish at i = r+1.  For m = 1 the cap sigma_1(u)^2 cuts nothing.
     """
     a = exponent_vector(a)
-    r = len(a)
-    target = sum(a) + (r + 1) * int(c)
-    if target < 0:
+    m = min(len(a) + 1, s)
+    sig = elem_sym_all((c,) + shift(a, c), m)
+    if sig[1] < 0:
         return []
-    m = min(r + 1, s)
-    u = (c,) + shift(a, c)
-    sig = elem_sym_all(u, min(2, m))
-    s2_cap = sig[2] if m >= 2 else None
-    out = []
-
-    def grow(prefix, lo, remaining, psum, ps2):
-        slots = r - len(prefix)
-        if slots == 1:
-            if remaining >= lo and (s2_cap is None or ps2 + psum * remaining <= s2_cap):
-                out.append(prefix + (remaining,))
-            return
-        for v in range(lo, remaining // slots + 1):
-            ns2 = ps2 + psum * v
-            if s2_cap is not None and ns2 > s2_cap:
-                break
-            grow(prefix + (v,), v, remaining - v, psum + v, ns2)
-
-    grow((), 0, target, 0, 0)
-    del grow  # it refers to itself, so only the cyclic collector would free it
-    return [b for b in out if truncated_sym_equal(u, (0,) + b, m)]
+    candidates = _compositions(len(a), sig[1], sig[2] if m >= 2 else sig[1] ** 2)
+    return [b for b in candidates if elem_sym_all(b, m) == sig]
 
 
 def sigma2_holds(a, c: int) -> bool:
@@ -135,25 +136,11 @@ def sigma2_holds(a, c: int) -> bool:
     return elem_sym_all(balanced, 2)[2] <= elem_sym_all(u, 2)[2]
 
 
-def _class_s1(a: Vec, cap: int) -> list[tuple[Vec, int]]:
-    s1 = sum(a)
-    r = len(a)
-    members = []
-    c = -(s1 // (r + 1))
-    while s1 + (r + 1) * c <= cap:
-        members.extend((b, c) for b in enumerate_b(a, c, 1))
-        c += 1
-    return members
-
-
-def deformation_class(a, s: int, sigma1_cap=None, prune: bool = True) -> DeformationClass:
-    """The deformation class of (a; *) over base dimension s.
-
-    For s >= 2 the integer shifts range over c_bounds and the result is
-    provably complete.  For s = 1 the class is infinite (only a congruence
-    constrains sigma_1), so sigma1_cap is required and the members are all
-    congruent vectors with sigma_1 up to the cap.  prune=False disables the
-    sigma_2 stopping rule; the result must not change (tested property).
+def shift_window(a, s: int, sigma1_cap=None) -> tuple[range, str]:
+    """The shifts C that deformation_class(a, s, sigma1_cap) scans, with the
+    text of their bound: the integers in c_bounds for s >= 2, and for s = 1
+    those with 0 <= sigma_1(a) + (r+1)C <= sigma1_cap.  Raises the class's
+    input errors, so a query can be checked before it is enumerated.
     """
     a = exponent_vector(a)
     if s < 1:
@@ -164,29 +151,39 @@ def deformation_class(a, s: int, sigma1_cap=None, prune: bool = True) -> Deforma
             "not governed by the shift criterion, so classes are defined for "
             "nonzero a only"
         )
-    r = len(a)
-    if s == 1:
-        if sigma1_cap is None:
-            raise CapRequired(
-                "the s = 1 class is infinite; pass sigma1_cap to bound the listing"
-            )
-        cap = int(sigma1_cap)
-        if cap < sum(a):
-            raise CapRequired(
-                f"sigma1_cap = {cap} is below sigma_1(a) = {sum(a)}; "
-                "the class listing must at least contain a itself"
-            )
-        members = _class_s1(a, cap)
-        bound = f"sigma_1(b) <= {cap} with sigma_1(b) = {sum(a)} mod {r + 1}"
-        complete = False
-    else:
+    if s > 1:
         lo, hi = c_bounds(a)
-        members = []
-        for c in range(ceil(lo), floor(hi) + 1):
-            members.extend((b, c) for b in enumerate_b(a, c, s))
-            if prune and c >= 1 and sigma2_holds(a, c):
-                break
-        bound = f"integer shifts C in [{lo}, {hi}]"
-        complete = True
+        return range(ceil(lo), floor(hi) + 1), f"integer shifts C in [{lo}, {hi}]"
+    if sigma1_cap is None:
+        raise CapRequired(
+            "the s = 1 class is infinite; pass sigma1_cap to bound the listing"
+        )
+    cap, s1, r1 = int(sigma1_cap), sum(a), len(a) + 1
+    if cap < s1:
+        raise CapRequired(
+            f"sigma1_cap = {cap} is below sigma_1(a) = {s1}; "
+            "the class listing must at least contain a itself"
+        )
+    shifts = range(-(s1 // r1), (cap - s1) // r1 + 1)
+    return shifts, f"sigma_1(b) <= {cap} with sigma_1(b) = {s1} mod {r1}"
+
+
+def deformation_class(a, s: int, sigma1_cap=None, prune: bool = True) -> DeformationClass:
+    """The deformation class of (a; *) over base dimension s.
+
+    One loop runs enumerate_b over the shift_window.  For s >= 2 the result
+    is provably complete.  For s = 1 the class is infinite (only a congruence
+    constrains sigma_1), so sigma1_cap is required and the members are all
+    congruent vectors with sigma_1 up to the cap.  Members are sorted by
+    sigma_1, then lexicographically.  prune=False disables the s >= 2 sigma_2
+    stopping rule; the result must not change (tested property).
+    """
+    a = exponent_vector(a)
+    shifts, bound = shift_window(a, s, sigma1_cap)
+    members = []
+    for c in shifts:
+        members.extend((b, c) for b in enumerate_b(a, c, s))
+        if prune and s > 1 and c >= 1 and sigma2_holds(a, c):
+            break
     members.sort(key=lambda mc: (sum(mc[0]), mc[0]))
-    return DeformationClass(r, s, tuple(members), complete, bound)
+    return DeformationClass(len(a), s, tuple(members), s > 1, bound)

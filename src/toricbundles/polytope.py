@@ -25,8 +25,6 @@ from . import _linalg as la
 from .errors import InvalidKappa, LengthMismatch, NotABundle, NotSimple, Unbounded
 from .symfun import exponent_vector
 
-Rat = Fraction
-
 
 @dataclass(frozen=True)
 class BundleTuple:

@@ -149,6 +149,12 @@ def test_family_with_lift(capsys):
     assert "K = 5" in out and "(2, 7)" in out
 
 
+@pytest.mark.parametrize("lift", ["0", "-1"])
+def test_family_rejects_a_lift_below_one(capsys, lift):
+    code, out, err = run(capsys, "family", "--k", "2", "--lift", lift)
+    assert (code, out, err) == (2, "", "error: l must be at least 1\n")
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -202,3 +208,26 @@ def test_census_counts_from_one_enumeration(capsys, monkeypatch):
     assert err == (
         "CapRequired: counting at kappa = 9 with s = 1 needs sigma1_cap >= kappa + s = 10\n"
     )
+
+
+@pytest.mark.parametrize(
+    "cap, message",
+    [
+        (None, "the s = 1 class is infinite; pass sigma1_cap to bound the listing"),
+        ("3", "sigma1_cap = 3 is below sigma_1(a) = 5; "
+              "the class listing must at least contain a itself"),
+        ("9", "counting at kappa = 9 with s = 1 needs sigma1_cap >= kappa + s = 10"),
+    ],
+    ids=["no-cap", "cap-below-sigma1", "cap-below-kappa"],
+)
+def test_census_checks_the_cap_before_enumerating(capsys, monkeypatch, cap, message):
+    census_module = sys.modules["toricbundles.census"]
+    calls = []
+    real = census_module.deformation_class
+    monkeypatch.setattr(
+        census_module, "deformation_class", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    argv = ["census", "--a", "5", "--s", "1", "--kappa", "9"]
+    code, out, err = run(capsys, *argv, *([] if cap is None else ["--cap", cap]))
+    assert (code, out, err) == (1, "", f"CapRequired: {message}\n")
+    assert calls == []

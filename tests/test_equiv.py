@@ -4,9 +4,12 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
-from conftest import nondecreasing_vectors
+from conftest import nondecreasing_vectors, sigma_newton
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricbundles import (
     CapRequired,
@@ -100,6 +103,36 @@ def test_enumerate_b_matches_brute_force():
                 assert sorted(enumerate_b(a, c, s)) == sorted(brute), (a, c, s)
 
 
+def sorted_vectors_with_sum(r, total, lo=0):
+    """Every non-decreasing r-vector of integers >= lo with the given sum."""
+    if r == 1:
+        return [(total,)] if total >= lo else []
+    return [
+        (v,) + rest
+        for v in range(lo, total // r + 1)
+        for rest in sorted_vectors_with_sum(r - 1, total - v, v)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_enumerate_b_matches_brute_force_in_order(data):
+    r = data.draw(st.integers(1, 4))
+    entries = st.lists(st.integers(0, 6), min_size=r, max_size=r).filter(any)
+    a = tuple(sorted(data.draw(entries)))
+    s = data.draw(st.integers(1, r + 2))
+    lo, hi = c_bounds(a)
+    c = data.draw(st.integers(ceil(lo) - 1, floor(hi) + 1))
+    u = (c,) + shift(a, c)
+    m = min(r + 1, s)
+    brute = sorted(
+        b
+        for b in sorted_vectors_with_sum(r, sum(u))
+        if all(sigma_newton((0,) + b, i) == sigma_newton(u, i) for i in range(2, m + 1))
+    )
+    assert enumerate_b(a, c, s) == brute, (a, c, s)
+
+
 def test_sigma2_holds_pinned():
     # at shift 1 the balanced competitor of (1,4,4) is (0,4,4,5) minus one unit:
     # max sigma_2 with first entry 0 and total 12 over 4 slots is 56 <= 57
@@ -149,6 +182,23 @@ def test_deformation_class_s1_capped():
     assert "9" in str(cls.bound_used)
     members = dict(cls.members)
     assert members[(1,)] == -2 and members[(9,)] == 2
+
+
+def test_deformation_class_s1_capped_matches_brute_force():
+    # over s = 1 every vector with a congruent sigma_1 is a member
+    for r in (1, 2, 3):
+        pool = nondecreasing_vectors(r, 4 * r + 2 * (r + 1))
+        for a in nondecreasing_vectors(r, 4 * r, include_zero=False):
+            if a[-1] > 4:
+                continue
+            s1 = sum(a)
+            for cap in range(s1, s1 + 2 * (r + 1) + 1):
+                brute = sorted(
+                    ((b, (sum(b) - s1) // (r + 1)) for b in pool
+                     if sum(b) <= cap and (sum(b) - s1) % (r + 1) == 0),
+                    key=lambda bc: (sum(bc[0]), bc[0]),
+                )
+                assert deformation_class(a, 1, cap).members == tuple(brute), (a, cap)
 
 
 def test_membership_is_an_equivalence_relation():
