@@ -8,7 +8,7 @@ the function stabilizes at the finite class size once kappa passes
 (r + 1 - 1/r) sigma_1(a) - s, while for s = 1 it grows without bound.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .equiv import deformation_class, k_min
@@ -36,36 +36,33 @@ class InfiniteMarker:
 INFINITE = InfiniteMarker()
 
 
-@dataclass(frozen=True)
-class Breakpoint:
+class Breakpoint(namedtuple("Breakpoint", "kappa new_members")):
     """One jump of the step function: the members whose threshold equals kappa
     (they are counted for every kappa' > kappa)."""
 
-    kappa: int
-    new_members: tuple[Vec, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StepReport:
-    ok: bool
-    reason: str = ""
+class StepReport(namedtuple("StepReport", "ok reason", defaults=("",))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    """The step function of one deformation class, as sorted breakpoints."""
+class CensusResult(
+    namedtuple(
+        "CensusResult",
+        "r s query breakpoints stable_count stabilization_threshold complete members",
+    )
+):
+    """The step function of one deformation class, as sorted breakpoints.
 
-    r: int
-    s: int
-    query: Vec
-    breakpoints: tuple[Breakpoint, ...]
-    stable_count: "int | InfiniteMarker"
-    stabilization_threshold: "Fraction | None"
-    complete: bool
-    members: tuple[tuple[Vec, int], ...]
+    stable_count is an int, or INFINITE for s = 1; stabilization_threshold is
+    a Fraction, or None for s = 1; members pairs each vector with its shift.
+    """
+
+    __slots__ = ()
 
     @property
     def vectors(self) -> tuple[Vec, ...]:

@@ -9,7 +9,7 @@ whole classes are finite; the bounded C-range and the balanced-vector sigma_2
 pruning below make their enumeration exhaustive and fast.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil, floor
 
@@ -17,17 +17,12 @@ from .errors import CapRequired, LengthMismatch, ZeroVector
 from .symfun import Vec, elem_sym_all, exponent_vector, shift, truncated_sym_equal
 
 
-@dataclass(frozen=True)
-class DeformationClass:
+class DeformationClass(namedtuple("DeformationClass", "r s members complete bound_used")):
     """All known members of one deformation class, each with its shift C
     relative to the query vector; complete is True only when the bounded
     search proves exhaustiveness (s >= 2)."""
 
-    r: int
-    s: int
-    members: tuple[tuple[Vec, int], ...]
-    complete: bool
-    bound_used: str
+    __slots__ = ()
 
     @property
     def vectors(self) -> tuple[Vec, ...]:
@@ -172,14 +167,18 @@ def deformation_class(a, s: int, sigma1_cap=None, prune: bool = True) -> Deforma
     """The deformation class of (a; *) over base dimension s.
 
     One loop runs enumerate_b over the shift_window.  For s >= 2 the result
-    is provably complete.  For s = 1 the class is infinite (only a congruence
-    constrains sigma_1), so sigma1_cap is required and the members are all
-    congruent vectors with sigma_1 up to the cap.  Members are sorted by
-    sigma_1, then lexicographically.  prune=False disables the s >= 2 sigma_2
-    stopping rule; the result must not change (tested property).
+    is provably complete; for s > r it is {a} alone, because the r+1 fixed
+    sigmas make the multisets {C, a_1+C, ..., a_r+C} and {0, b_1, ..., b_r}
+    equal, and their minima give C = 0.  For s = 1 the class is infinite
+    (only a congruence constrains sigma_1), so sigma1_cap is required and the
+    members are all congruent vectors with sigma_1 up to the cap.  Members are
+    sorted by sigma_1, then lexicographically.  prune=False disables the
+    s >= 2 sigma_2 stopping rule; the result must not change (tested property).
     """
     a = exponent_vector(a)
     shifts, bound = shift_window(a, s, sigma1_cap)
+    if s > len(a):
+        return DeformationClass(len(a), s, ((a, 0),), True, bound)
     members = []
     for c in shifts:
         members.extend((b, c) for b in enumerate_b(a, c, s))

@@ -10,7 +10,7 @@ returned.  lift_class pads such a family to longer vectors (r > 2) without
 breaking pairwise equivalence over s = 2.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial, gcd
 
 from .equiv import find_shift
@@ -20,26 +20,16 @@ from .symfun import Vec, elem_sym_all, shift
 _K_SCAN_STEPS = 64
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "n x C b")):
     """One class member b for a = (K, c+K), produced by the modulus of n."""
 
-    n: int
-    x: int
-    C: int
-    b: tuple[int, int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FamilyCertificate:
-    k: int
-    c: int
-    strategy: str
-    n_seq: tuple[int, ...]
-    moduli: tuple[int, ...]
-    K: int
-    a: tuple[int, int]
-    witnesses: tuple[Witness, ...]
+class FamilyCertificate(
+    namedtuple("FamilyCertificate", "k c strategy n_seq moduli K a witnesses")
+):
+    __slots__ = ()
 
 
 def _modulus(n: int) -> int:

@@ -8,7 +8,7 @@ canonical vector to another, together with the smallest kappa floor above
 which every intermediate stage is itself a valid tuple.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IndexOutOfRange, LengthMismatch, ParityError
 from .symfun import Vec, exponent_vector
@@ -68,18 +68,14 @@ def _invert(step: Step) -> Step:
     return ("eij", step[1], step[2])
 
 
-@dataclass(frozen=True)
-class MovePath:
+class MovePath(namedtuple("MovePath", "start steps end kappa_floor")):
     """A verified move sequence from start to end.
 
     kappa_floor is the largest sigma_1(stage) - 1 over all stages: every
     intermediate vector is a valid s = 1 tuple exactly for kappa above it.
     """
 
-    start: Vec
-    steps: tuple[Step, ...]
-    end: Vec
-    kappa_floor: int
+    __slots__ = ()
 
     def replay(self) -> Vec:
         cur = self.start

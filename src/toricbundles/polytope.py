@@ -15,7 +15,7 @@ Delzant conditions, measures volumes and fiber sizes, and recognizes the
 normal form inside an arbitrary H-description.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -26,27 +26,27 @@ from .errors import InvalidKappa, LengthMismatch, NotABundle, NotSimple, Unbound
 from .symfun import exponent_vector
 
 
-@dataclass(frozen=True)
-class BundleTuple:
-    """Normalized bundle data (r, s, a, kappa); validates on construction."""
+class BundleTuple(namedtuple("BundleTuple", "r s a kappa")):
+    """Normalized bundle data (r, s, a, kappa); validates on construction.
 
-    r: int
-    s: int
-    a: tuple[int, ...]
-    kappa: Fraction
+    Build it by calling the class: _make and _replace skip the normalization
+    and the checks in __new__.
+    """
 
-    def __post_init__(self):
-        if self.r < 1 or self.s < 1:
-            raise ValueError(f"need r >= 1 and s >= 1, got r={self.r}, s={self.s}")
-        object.__setattr__(self, "a", exponent_vector(self.a))
-        object.__setattr__(self, "kappa", Fraction(self.kappa))
-        if len(self.a) != self.r:
-            raise LengthMismatch(f"a has length {len(self.a)}, expected r = {self.r}")
+    __slots__ = ()
+
+    def __new__(cls, r: int, s: int, a, kappa):
+        if r < 1 or s < 1:
+            raise ValueError(f"need r >= 1 and s >= 1, got r={r}, s={s}")
+        self = super().__new__(cls, r, s, exponent_vector(a), Fraction(kappa))
+        if len(self.a) != r:
+            raise LengthMismatch(f"a has length {len(self.a)}, expected r = {r}")
         if self.kappa <= self.k_min:
             raise InvalidKappa(
                 f"kappa = {self.kappa} must exceed sigma_1(a) - s = {self.k_min}; "
                 "at or below it the fiber over the corner base vertex collapses"
             )
+        return self
 
     @property
     def k_min(self) -> int:
@@ -57,37 +57,43 @@ class BundleTuple:
         return self.r + self.s
 
 
-@dataclass(frozen=True)
-class Facet:
-    """One inequality <x, conormal> <= constant with a primitive integer conormal."""
+class Facet(namedtuple("Facet", "conormal constant")):
+    """One inequality <x, conormal> <= constant with a primitive integer conormal.
 
-    conormal: tuple[int, ...]
-    constant: Fraction
+    Build it by calling the class: _make and _replace skip the normalization
+    and the nonzero check in __new__.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "conormal", tuple(int(x) for x in self.conormal))
-        object.__setattr__(self, "constant", Fraction(self.constant))
-        if not any(self.conormal):
+    __slots__ = ()
+
+    def __new__(cls, conormal, constant):
+        conormal = tuple(int(x) for x in conormal)
+        constant = Fraction(constant)
+        if not any(conormal):
             raise ValueError("a facet conormal must be nonzero")
+        return super().__new__(cls, conormal, constant)
 
 
-@dataclass(frozen=True)
-class DelzantPolytope:
+class DelzantPolytope(namedtuple("DelzantPolytope", "dim facets")):
     """H-description container; the Delzant conditions are checked by
-    is_delzant, not at construction, so defective inputs can be diagnosed."""
+    is_delzant, not at construction, so defective inputs can be diagnosed.
 
-    dim: int
-    facets: tuple[Facet, ...]
+    Build it by calling the class: _make and _replace skip the dimension and
+    conormal-length checks in __new__.
+    """
 
-    def __post_init__(self):
-        if self.dim < 1:
+    __slots__ = ()
+
+    def __new__(cls, dim: int, facets):
+        if dim < 1:
             raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "facets", tuple(self.facets))
-        for f in self.facets:
-            if len(f.conormal) != self.dim:
+        facets = tuple(facets)
+        for f in facets:
+            if len(f.conormal) != dim:
                 raise LengthMismatch(
-                    f"conormal {f.conormal} has length {len(f.conormal)}, expected {self.dim}"
+                    f"conormal {f.conormal} has length {len(f.conormal)}, expected {dim}"
                 )
+        return super().__new__(cls, dim, facets)
 
     def to_json_obj(self) -> dict:
         return {
@@ -133,25 +139,21 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """A vertex point with the set of facet indices active at it (0-based)."""
+class Vertex(namedtuple("Vertex", "point active")):
+    """A vertex point (a tuple of Fractions) with the frozenset of facet
+    indices active at it (0-based)."""
 
-    point: tuple[Fraction, ...]
-    active: frozenset[int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DelzantReport:
-    ok: bool
-    reason: str = ""
+class DelzantReport(namedtuple("DelzantReport", "ok reason", defaults=("",))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class RecognizedForm:
+class RecognizedForm(namedtuple("RecognizedForm", "bundle matrix translation scale")):
     """One bundle presentation of a polytope.
 
     The map x -> scale * (matrix @ x) + translation sends the input polytope
@@ -160,10 +162,7 @@ class RecognizedForm:
     already normalized up to a lattice-affine map).
     """
 
-    bundle: BundleTuple
-    matrix: tuple[tuple[int, ...], ...]
-    translation: tuple[Fraction, ...]
-    scale: Fraction
+    __slots__ = ()
 
 
 def build(t: BundleTuple) -> DelzantPolytope:
@@ -269,35 +268,23 @@ def is_delzant(P: DelzantPolytope) -> DelzantReport:
     return DelzantReport(True) if not reason else DelzantReport(False, reason)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def exact_volume(t: BundleTuple) -> Fraction:
     """Exact Euclidean volume of build(t) by fiber integration.
 
-    Integrates the fiber volume (1/s!) (kappa + s + sum a_i x_i)^s over the
-    base simplex: after the affine map onto the unit simplex the integrand is
-    expanded multinomially and each monomial uses
-    int_{unit simplex} y^alpha dy = prod(alpha_i!) / (r + |alpha|)!.
+    The fiber over a base point is a simplex of volume L^s / s!, with L
+    affine on the base simplex.  Mapped onto the unit simplex (Jacobian
+    (r+1)^r), int L^s = s! h_s(l_0, ..., l_r) / (r + s)!, where h_s is the
+    complete homogeneous symmetric function (Macdonald I.2) of L's vertex
+    values l_0 = kappa + s - sigma_1(a) and l_i = l_0 + (r+1) a_i.  So the
+    volume is (r+1)^r h_s(l) / (r+s)!, with h_s from the O(r s) recurrence.
     """
     r, s = t.r, t.s
-    c0 = t.kappa + s - sum(t.a)
-    w = [(r + 1) * ai for ai in t.a]
-    total = Fraction(0)
-    for alpha in _compositions(s, r + 1):
-        term = c0 ** alpha[0] / Fraction(factorial(alpha[0]))
-        for wi, e in zip(w, alpha[1:]):
-            if e:
-                term *= wi**e
-        term /= factorial(r + s - alpha[0])
-        total += term
-    return (r + 1) ** r * total
+    l0 = t.kappa + s - sum(t.a)
+    h = [Fraction(1)] + [Fraction(0)] * s
+    for x in (l0,) + tuple(l0 + (r + 1) * ai for ai in t.a):
+        for j in range(1, s + 1):
+            h[j] += x * h[j - 1]
+    return (r + 1) ** r * h[s] / factorial(r + s)
 
 
 def nominal_volume(r: int, s: int, kappa) -> Fraction:

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from toricbundles import (
     BundleTuple,
@@ -138,6 +138,37 @@ def _lattice_points(P, m):
 
     rec(0)
     return count
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def exact_volume_multinomial(t):
+    """Volume of build(t) by expanding the fiber volume multinomially.
+
+    Integrates (1/s!) (kappa + s + sum a_i x_i)^s over the base simplex:
+    after the affine map onto the unit simplex each monomial uses
+    int_{unit simplex} y^alpha dy = prod(alpha_i!) / (r + |alpha|)!.
+    Sums C(r+s, r) terms; the reference for exact_volume's closed form.
+    """
+    r, s = t.r, t.s
+    c0 = t.kappa + s - sum(t.a)
+    w = [(r + 1) * ai for ai in t.a]
+    total = Fraction(0)
+    for alpha in _compositions(s, r + 1):
+        term = c0 ** alpha[0] / Fraction(factorial(alpha[0]))
+        for wi, e in zip(w, alpha[1:]):
+            if e:
+                term *= wi**e
+        term /= factorial(r + s - alpha[0])
+        total += term
+    return (r + 1) ** r * total
 
 
 # --- Exact linear algebra by minors: the reference for toricbundles._linalg.

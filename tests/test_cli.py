@@ -191,6 +191,12 @@ def test_negative_fraction_kappa(capsys, command):
     assert exc.value.code == 2
 
 
+def test_census_above_r_is_closed_form(capsys):
+    code, out, _ = run(capsys, "census", "--a", "99999999999999999999", "--s", "2")
+    assert code == 0
+    assert "stable count: 1 (reached for kappa > 99999999999999999997)" in out
+
+
 def test_census_counts_from_one_enumeration(capsys, monkeypatch):
     census_module = sys.modules["toricbundles.census"]
     calls = []

@@ -23,6 +23,7 @@ from toricbundles import (
     shift,
     sigma2_holds,
 )
+from toricbundles.equiv import shift_window
 
 
 def test_find_shift_pinned():
@@ -246,6 +247,20 @@ def test_pruning_does_not_change_the_class():
         fast = deformation_class(a, 2, prune=True)
         full = deformation_class(a, 2, prune=False)
         assert fast.members == full.members, a
+
+
+def test_class_above_r_matches_the_shift_scan():
+    # For s > r, enumerate_b fixes m = min(r+1, s) = r+1 sigmas whatever s
+    # is, so one scan of the shift window serves s = r+1..r+3.
+    for r in range(1, 5):
+        for a in itertools.combinations_with_replacement(range(7), r):
+            if not any(a):
+                continue
+            shifts, bound = shift_window(a, r + 1)
+            scan = [(b, c) for c in shifts for b in enumerate_b(a, c, r + 1)]
+            scan.sort(key=lambda mc: (sum(mc[0]), mc[0]))
+            for s in range(r + 1, r + 4):
+                assert deformation_class(a, s) == (r, s, tuple(scan), True, bound), (a, s)
 
 
 def test_small_total_classes_are_singletons():

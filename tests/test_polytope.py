@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import ehrhart_volume, nondecreasing_vectors, scramble_polytope
+from conftest import (
+    ehrhart_volume,
+    exact_volume_multinomial,
+    nondecreasing_vectors,
+    scramble_polytope,
+)
 
 from toricbundles import (
     BundleTuple,
@@ -152,6 +157,18 @@ def test_volume_against_ehrhart_oracle():
         BundleTuple(3, 1, (1, 1, 2), 4),
     ):
         assert exact_volume(t) == ehrhart_volume(build(t))
+
+
+def test_closed_form_volume_matches_multinomial_oracle():
+    rng = random.Random(12)
+    cases = list(sweep_tuples())
+    for _ in range(500):
+        r, s = rng.randint(1, 4), rng.randint(1, 5)
+        a = tuple(sorted(rng.randint(0, 6) for _ in range(r)))
+        kappa = sum(a) - s + Fraction(rng.randint(1, 60), rng.randint(1, 7))
+        cases.append(BundleTuple(r, s, a, kappa))
+    for t in cases:
+        assert exact_volume(t) == exact_volume_multinomial(t), t
 
 
 def test_volume_properties_on_sweep():
