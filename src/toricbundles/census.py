@@ -75,10 +75,10 @@ class CensusResult(
         return sum(len(bp.new_members) for bp in self.breakpoints if bp.kappa < kappa)
 
 
-def census(a, s: int, sigma1_cap=None, prune: bool = True) -> CensusResult:
+def census(a, s: int, sigma1_cap=None) -> CensusResult:
     """Group the deformation class of a by the thresholds K_b = sigma_1(b) - s."""
     a = exponent_vector(a)
-    cls = deformation_class(a, s, sigma1_cap, prune)
+    cls = deformation_class(a, s, sigma1_cap)
     groups: dict[int, list[Vec]] = {}
     for b, _ in cls.members:
         groups.setdefault(sum(b) - s, []).append(b)
@@ -97,12 +97,12 @@ def census(a, s: int, sigma1_cap=None, prune: bool = True) -> CensusResult:
     )
 
 
-def count_at(a, s: int, kappa, sigma1_cap=None, prune: bool = True) -> int:
+def count_at(a, s: int, kappa, sigma1_cap=None) -> int:
     """N(a; kappa) exactly; for s = 1 the cap must reach kappa + s so that no
     member below the threshold is missed."""
     kappa = Fraction(kappa)
     check_count_cap(s, kappa, sigma1_cap)
-    return census(a, s, sigma1_cap, prune).count(kappa)
+    return census(a, s, sigma1_cap).count(kappa)
 
 
 def check_count_cap(s: int, kappa, sigma1_cap) -> None:
@@ -116,7 +116,7 @@ def check_count_cap(s: int, kappa, sigma1_cap) -> None:
         )
 
 
-def count_at_infinity(a, s: int, prune: bool = True):
+def count_at_infinity(a, s: int):
     """The limit count: the class size for s >= 2, infinite for s = 1."""
     a = exponent_vector(a)
     if not any(a):
@@ -126,7 +126,7 @@ def count_at_infinity(a, s: int, prune: bool = True):
         )
     if s == 1:
         return INFINITE
-    return len(deformation_class(a, s, prune=prune).members)
+    return len(deformation_class(a, s).members)
 
 
 def is_fano(a, s: int) -> bool:

@@ -3,9 +3,17 @@
 Subcommands: census, equiv, polytope, recognize, moves, hirzebruch, family.
 Vectors are comma-separated non-negative integers (auto-sorted with a notice
 on stderr), kappa is an exact rational like 8 or 15/2, and --json switches
-every command from the human-readable report to machine output.  Exit codes:
-0 success, 1 domain error (printed as "Name: message" on stderr), 2 usage or
-file problems.  All output is deterministic byte for byte.
+every command from the human-readable report to machine output.
+
+Each cmd_* function returns (obj, lines): the object that --json prints and
+the lines of the text report.  main prints one of them, so exact values
+follow one rule: a Fraction or the INFINITE marker prints as its str, in the
+text lines and in JSON alike (as a string there, like "15/2" or "infinite").
+
+Exit codes: 0 success, 1 domain error (printed as "Name: message" on
+stderr; a vector too long for the recursive class enumeration reports
+RecursionError the same way), 2 usage or file problems.  All output is
+deterministic byte for byte.
 """
 
 import argparse
@@ -14,14 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import families, moves, polytope
-from .census import (
-    InfiniteMarker,
-    census,
-    check_count_cap,
-    is_fano,
-    is_monotone,
-    verify_step_structure,
-)
+from .census import census, check_count_cap, is_fano, is_monotone, verify_step_structure
 from .equiv import find_shift, k_min, shift_window
 from .errors import ToricError
 
@@ -68,11 +69,7 @@ def _fmt_vec(vec) -> str:
     return "(" + ", ".join(str(x) for x in vec) + ")"
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
-def cmd_census(args) -> int:
+def cmd_census(args) -> tuple[dict, list[str]]:
     a = _canonical(args.a)
     if args.kappa is not None:
         shift_window(a, args.s, args.cap)  # the class's own errors come first
@@ -80,95 +77,58 @@ def cmd_census(args) -> int:
     res = census(a, args.s, sigma1_cap=args.cap)
     fano = is_fano(a, args.s)
     report = None if args.s == 1 else verify_step_structure(res)
-    count = None if args.kappa is None else res.count(args.kappa)
-    infinity = res.stable_count if args.infinity else None
-    if args.json:
-        obj = {
-            "a": list(a),
-            "r": len(a),
-            "s": args.s,
-            "k_min": k_min(a, args.s),
-            "fano": fano,
-            "complete": res.complete,
-            "breakpoints": [
-                {"kappa": bp.kappa, "new_members": [list(b) for b in bp.new_members]}
-                for bp in res.breakpoints
-            ],
-            "stable_count": (
-                str(res.stable_count)
-                if isinstance(res.stable_count, InfiniteMarker)
-                else res.stable_count
-            ),
-            "stabilization_threshold": (
-                None
-                if res.stabilization_threshold is None
-                else str(res.stabilization_threshold)
-            ),
-            "step_structure": (
-                None if report is None else {"ok": report.ok, "reason": report.reason}
-            ),
-        }
-        if count is not None:
-            obj["count"] = {"kappa": str(args.kappa), "value": count}
-            obj["monotone"] = is_monotone(args.kappa)
-        if args.infinity:
-            obj["count_at_infinity"] = (
-                str(infinity)
-                if isinstance(infinity, InfiniteMarker)
-                else infinity
-            )
-        _emit_json(obj)
-        return 0
-    print(f"a = {_fmt_vec(a)}  r = {len(a)}  s = {args.s}")
-    print(f"k_min = {k_min(a, args.s)}  fano: {'yes' if fano else 'no'}")
-    print(f"class listing complete: {'yes' if res.complete else 'no (capped)'}")
-    print("breakpoints:")
+    obj = {
+        "a": a,
+        "r": len(a),
+        "s": args.s,
+        "k_min": k_min(a, args.s),
+        "fano": fano,
+        "complete": res.complete,
+        "breakpoints": [
+            {"kappa": bp.kappa, "new_members": bp.new_members} for bp in res.breakpoints
+        ],
+        "stable_count": res.stable_count,
+        "stabilization_threshold": res.stabilization_threshold,
+        "step_structure": (
+            None if report is None else {"ok": report.ok, "reason": report.reason}
+        ),
+    }
+    lines = [
+        f"a = {_fmt_vec(a)}  r = {len(a)}  s = {args.s}",
+        f"k_min = {obj['k_min']}  fano: {'yes' if fano else 'no'}",
+        f"class listing complete: {'yes' if res.complete else 'no (capped)'}",
+        "breakpoints:",
+    ]
     for bp in res.breakpoints:
         mems = ", ".join(_fmt_vec(b) for b in bp.new_members)
-        print(f"  kappa > {bp.kappa}: +{len(bp.new_members)}: {mems}")
-    if isinstance(res.stable_count, InfiniteMarker):
-        print("stable count: infinite")
-    else:
-        print(
-            f"stable count: {res.stable_count} "
-            f"(reached for kappa > {res.stabilization_threshold})"
-        )
+        lines.append(f"  kappa > {bp.kappa}: +{len(bp.new_members)}: {mems}")
+    stable = f"stable count: {res.stable_count}"
+    if res.stabilization_threshold is not None:
+        stable += f" (reached for kappa > {res.stabilization_threshold})"
+    lines.append(stable)
     if report is not None:
-        print(f"step structure: {'ok' if report.ok else 'FAIL: ' + report.reason}")
-    if count is not None:
-        print(f"N({args.kappa}) = {count}")
-        print(
-            f"monotone at kappa = {args.kappa}: "
-            f"{'yes' if is_monotone(args.kappa) else 'no'}"
-        )
+        lines.append(f"step structure: {'ok' if report.ok else 'FAIL: ' + report.reason}")
+    if args.kappa is not None:
+        count, monotone = res.count(args.kappa), is_monotone(args.kappa)
+        obj["count"] = {"kappa": args.kappa, "value": count}
+        obj["monotone"] = monotone
+        lines.append(f"N({args.kappa}) = {count}")
+        lines.append(f"monotone at kappa = {args.kappa}: {'yes' if monotone else 'no'}")
     if args.infinity:
-        print(f"count at infinity: {infinity}")
-    return 0
+        obj["count_at_infinity"] = res.stable_count
+        lines.append(f"count at infinity: {res.stable_count}")
+    return obj, lines
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> tuple[dict, list[str]]:
     a = _canonical(args.a)
     b = _canonical(args.b)
     c = find_shift(a, b, args.s)
-    if args.json:
-        _emit_json(
-            {
-                "a": list(a),
-                "b": list(b),
-                "s": args.s,
-                "equivalent": c is not None,
-                "C": c,
-            }
-        )
-        return 0
-    if c is None:
-        print("inequivalent")
-    else:
-        print(f"equivalent: C = {c}")
-    return 0
+    obj = {"a": a, "b": b, "s": args.s, "equivalent": c is not None, "C": c}
+    return obj, ["inequivalent" if c is None else f"equivalent: C = {c}"]
 
 
-def cmd_polytope(args) -> int:
+def cmd_polytope(args) -> tuple[dict, list[str]]:
     a = _canonical(args.a)
     t = polytope.BundleTuple(len(a), args.s, a, args.kappa)
     P = polytope.build(t)
@@ -177,149 +137,112 @@ def cmd_polytope(args) -> int:
     ev = polytope.exact_volume(t)
     nv = polytope.nominal_volume(t.r, t.s, t.kappa)
     fp = polytope.fiber_fingerprint(t)
+    stored = P.to_json_obj()
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(P.to_json_obj(), fh, indent=2)
+            json.dump(stored, fh, indent=2)
             fh.write("\n")
-    if args.json:
-        _emit_json(
-            {
-                "polytope": P.to_json_obj(),
-                "vertices": [[str(x) for x in v.point] for v in verts],
-                "delzant": {"ok": rep.ok, "reason": rep.reason},
-                "exact_volume": str(ev),
-                "nominal_volume": str(nv),
-                "fiber_fingerprint": [str(x) for x in fp],
-            }
-        )
-        return 0
-    print(
+    obj = {
+        "polytope": stored,
+        "vertices": [v.point for v in verts],
+        "delzant": {"ok": rep.ok, "reason": rep.reason},
+        "exact_volume": ev,
+        "nominal_volume": nv,
+        "fiber_fingerprint": fp,
+    }
+    lines = [
         f"bundle a = {_fmt_vec(a)}, s = {args.s}, kappa = {t.kappa}: "
-        f"dim {P.dim}, {len(P.facets)} facets"
-    )
-    print("facets:")
-    for f in P.facets:
-        print(f"  {_fmt_vec(f.conormal)} . x <= {f.constant}")
-    print(f"vertices ({len(verts)}):")
-    for v in verts:
-        print(f"  {_fmt_vec(v.point)}")
-    print(f"delzant: {'yes' if rep.ok else 'NO: ' + rep.reason}")
-    print(f"exact volume: {ev}")
-    print(f"nominal volume: {nv}")
-    print(f"fiber fingerprint: {', '.join(str(x) for x in fp)}")
+        f"dim {P.dim}, {len(P.facets)} facets",
+        "facets:",
+        *(f"  {_fmt_vec(f.conormal)} . x <= {f.constant}" for f in P.facets),
+        f"vertices ({len(verts)}):",
+        *(f"  {_fmt_vec(v.point)}" for v in verts),
+        f"delzant: {'yes' if rep.ok else 'NO: ' + rep.reason}",
+        f"exact volume: {ev}",
+        f"nominal volume: {nv}",
+        f"fiber fingerprint: {', '.join(str(x) for x in fp)}",
+    ]
     if args.out is not None:
-        print(f"wrote {args.out}")
-    return 0
+        lines.append(f"wrote {args.out}")
+    return obj, lines
 
 
-def cmd_recognize(args) -> int:
+def cmd_recognize(args) -> tuple[dict, list[str]]:
     with open(args.infile, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    P = polytope.DelzantPolytope.from_json_obj(data)
-    forms = polytope.recognize(P)
-    if args.json:
-        _emit_json(
+    forms = polytope.recognize(polytope.DelzantPolytope.from_json_obj(data))
+    obj = {
+        "presentations": [
             {
-                "presentations": [
-                    {
-                        "r": f.bundle.r,
-                        "s": f.bundle.s,
-                        "a": list(f.bundle.a),
-                        "kappa": str(f.bundle.kappa),
-                        "scale": str(f.scale),
-                        "matrix": [list(row) for row in f.matrix],
-                        "translation": [str(x) for x in f.translation],
-                    }
-                    for f in forms
-                ]
+                "r": f.bundle.r,
+                "s": f.bundle.s,
+                "a": f.bundle.a,
+                "kappa": f.bundle.kappa,
+                "scale": f.scale,
+                "matrix": f.matrix,
+                "translation": f.translation,
             }
-        )
-        return 0
-    print(f"{len(forms)} presentation{'s' if len(forms) != 1 else ''}:")
+            for f in forms
+        ]
+    }
+    lines = [f"{len(forms)} presentation{'s' if len(forms) != 1 else ''}:"]
     for f in forms:
-        print(
+        lines.append(
             f"  r = {f.bundle.r}, s = {f.bundle.s}, a = {_fmt_vec(f.bundle.a)}, "
             f"kappa = {f.bundle.kappa} (scale {f.scale})"
         )
-    return 0
+    return obj, lines
 
 
 def _fmt_step(step) -> str:
     kind = step[0]
-    if kind == "e1":
-        return "e1"
-    if kind == "e1_inv":
-        return "e1'"
-    if kind == "eij":
-        return f"e({step[1]},{step[2]})"
-    return f"e({step[1]},{step[2]})'"
+    text = "e1" if kind.startswith("e1") else f"e({step[1]},{step[2]})"
+    return text + "'" if kind.endswith("_inv") else text
 
 
-def cmd_moves(args) -> int:
-    a = _canonical(args.a)
-    b = _canonical(args.b)
-    path = moves.move_path(a, b)
-    if args.json:
-        _emit_json(
-            {
-                "start": list(path.start),
-                "steps": [list(st) for st in path.steps],
-                "end": list(path.end),
-                "kappa_floor": path.kappa_floor,
-            }
-        )
-        return 0
-    print(f"path from {_fmt_vec(path.start)} to {_fmt_vec(path.end)}: "
-          f"{len(path.steps)} steps")
+def cmd_moves(args) -> tuple[dict, list[str]]:
+    path = moves.move_path(_canonical(args.a), _canonical(args.b))
+    lines = [
+        f"path from {_fmt_vec(path.start)} to {_fmt_vec(path.end)}: "
+        f"{len(path.steps)} steps"
+    ]
     if path.steps:
-        print("  " + " ".join(_fmt_step(st) for st in path.steps))
-    print(f"kappa floor: {path.kappa_floor} (every stage valid for kappa above it)")
-    return 0
+        lines.append("  " + " ".join(_fmt_step(st) for st in path.steps))
+    lines.append(
+        f"kappa floor: {path.kappa_floor} (every stage valid for kappa above it)"
+    )
+    return path._asdict(), lines
 
 
-def cmd_hirzebruch(args) -> int:
+def cmd_hirzebruch(args) -> tuple[dict, list[str]]:
     verdict = moves.hirzebruch_equiv(args.a, args.b)
-    if args.json:
-        _emit_json({"a": args.a, "b": args.b, "equivalent": verdict})
-        return 0
     diff = abs(args.b - args.a)
     word = "even" if verdict else "odd"
-    print(f"{'equivalent' if verdict else 'inequivalent'} (difference {diff} is {word})")
-    return 0
+    line = f"{'equivalent' if verdict else 'inequivalent'} (difference {diff} is {word})"
+    return {"a": args.a, "b": args.b, "equivalent": verdict}, [line]
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> tuple[dict, list[str]]:
     cert = families.generate_family(args.k, args.c, args.strategy)
-    lifted = families.lift_class(cert, args.lift) if args.lift is not None else None
-    if args.json:
-        obj = {
-            "k": cert.k,
-            "c": cert.c,
-            "strategy": cert.strategy,
-            "n_seq": list(cert.n_seq),
-            "moduli": list(cert.moduli),
-            "K": cert.K,
-            "a": list(cert.a),
-            "witnesses": [
-                {"n": w.n, "x": w.x, "C": w.C, "b": list(w.b)}
-                for w in cert.witnesses
-            ],
-        }
-        if lifted is not None:
-            obj["lift"] = {"l": args.lift, "vectors": [list(v) for v in lifted]}
-        _emit_json(obj)
-        return 0
-    print(f"family k = {cert.k}, c = {cert.c}, strategy = {cert.strategy}")
+    obj = cert._asdict()
+    obj["witnesses"] = [w._asdict() for w in cert.witnesses]
     mods = ", ".join(f"n={n} -> {m}" for n, m in zip(cert.n_seq, cert.moduli))
-    print(f"moduli: {mods}")
-    print(f"K = {cert.K}, a = {_fmt_vec(cert.a)}")
-    print("witnesses:")
-    for w in cert.witnesses:
-        print(f"  n = {w.n}: x = {w.x}, C = {w.C}, b = {_fmt_vec(w.b)}")
-    if lifted is not None:
-        print(f"lift to r = {2 + args.lift}:")
-        print("  " + ", ".join(_fmt_vec(v) for v in lifted))
-    return 0
+    lines = [
+        f"family k = {cert.k}, c = {cert.c}, strategy = {cert.strategy}",
+        f"moduli: {mods}",
+        f"K = {cert.K}, a = {_fmt_vec(cert.a)}",
+        "witnesses:",
+        *(
+            f"  n = {w.n}: x = {w.x}, C = {w.C}, b = {_fmt_vec(w.b)}"
+            for w in cert.witnesses
+        ),
+    ]
+    if args.lift is not None:
+        lifted = families.lift_class(cert, args.lift)
+        obj["lift"] = {"l": args.lift, "vectors": lifted}
+        lines.append(f"lift to r = {2 + args.lift}:")
+        lines.append("  " + ", ".join(_fmt_vec(v) for v in lifted))
+    return obj, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -339,14 +262,12 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--kappa", type=_rat_type)
     group.add_argument("--infinity", action="store_true")
     p.add_argument("--cap", type=int, help="sigma_1 cap for the infinite s = 1 classes")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("equiv", help="decide deformation equivalence of two vectors")
     p.add_argument("--a", type=_vec_type, required=True, metavar="A1,A2,...")
     p.add_argument("--b", type=_vec_type, required=True, metavar="B1,B2,...")
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("polytope", help="build and measure the bundle polytope")
@@ -354,24 +275,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--kappa", type=_rat_type, required=True)
     p.add_argument("--out", help="write the polytope as JSON to this file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("recognize", help="find bundle presentations of a polytope")
     p.add_argument("--in", dest="infile", required=True, help="polytope JSON file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("moves", help="explicit move sequence between s = 1 vectors")
     p.add_argument("--a", type=_vec_type, required=True, metavar="A1,A2,...")
     p.add_argument("--b", type=_vec_type, required=True, metavar="B1,B2,...")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_moves)
 
     p = sub.add_parser("hirzebruch", help="parity test for r = s = 1 twists")
     p.add_argument("--a", type=_nonneg_type, required=True)
     p.add_argument("--b", type=_nonneg_type, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hirzebruch)
 
     p = sub.add_parser("family", help="certified family with many toric structures")
@@ -379,9 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, default=2)
     p.add_argument("--strategy", choices=("greedy", "factorial"), default="greedy")
     p.add_argument("--lift", type=int, help="also lift the family to r = 2 + L")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_family)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -401,14 +319,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_bind_kappa(list(argv)))
     try:
-        return args.func(args)
-    except ToricError as exc:
+        obj, lines = args.func(args)
+        print(json.dumps(obj, indent=2, default=str) if args.json else "\n".join(lines))
+        return 0
+    except (ToricError, RecursionError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

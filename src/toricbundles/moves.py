@@ -57,15 +57,7 @@ def apply_move(v, step: Step) -> Vec:
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def _invert(step: Step) -> Step:
-    kind = step[0]
-    if kind == "e1":
-        return ("e1_inv",)
-    if kind == "e1_inv":
-        return ("e1",)
-    if kind == "eij":
-        return ("eij_inv", step[1], step[2])
-    return ("eij", step[1], step[2])
+_INVERSE = {"e1": "e1_inv", "e1_inv": "e1", "eij": "eij_inv", "eij_inv": "eij"}
 
 
 class MovePath(namedtuple("MovePath", "start steps end kappa_floor")):
@@ -85,14 +77,13 @@ class MovePath(namedtuple("MovePath", "start steps end kappa_floor")):
 
 
 def _finish(start: Vec, steps: tuple[Step, ...], end: Vec) -> MovePath:
-    cur = start
-    floor = sum(cur) - 1
-    for step in steps:
-        cur = apply_move(cur, step)
-        floor = max(floor, sum(cur) - 1)
-    if cur != end:
-        raise AssertionError(f"move construction landed on {cur}, wanted {end}")
-    return MovePath(start, steps, end, floor)
+    """The verified path.  Its e1 moves come first and its e1_inv moves last,
+    and e(i,j) keeps sigma_1, so the worst stage is start or end."""
+    path = MovePath(start, steps, end, max(sum(start), sum(end)) - 1)
+    landed = path.replay()
+    if landed != end:
+        raise AssertionError(f"move construction landed on {landed}, wanted {end}")
+    return path
 
 
 def move_path(a, b) -> MovePath:
@@ -117,7 +108,7 @@ def move_path(a, b) -> MovePath:
         )
     if diff < 0:
         forward = move_path(b, a)
-        steps = tuple(_invert(st) for st in reversed(forward.steps))
+        steps = tuple((_INVERSE[st[0]],) + st[1:] for st in reversed(forward.steps))
         return _finish(a, steps, b)
     c = diff // (r + 1)
     steps = [("e1",)] * c

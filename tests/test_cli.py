@@ -1,11 +1,23 @@
 """Command-line interface: exit codes, JSON output, and round trips."""
 
+import io
 import json
+import os
+import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import toricbundles
 from toricbundles.cli import main
+
+# Full stdout of each pinned command line, text and --json, keyed by argv.
+PINNED = json.loads((Path(__file__).parent / "cli_stdout.json").read_text())
+POLYTOPE_OUT = "polytope --a 1 --s 2 --kappa 1 --out poly.json"
 
 
 def run(capsys, *argv):
@@ -237,3 +249,77 @@ def test_census_checks_the_cap_before_enumerating(capsys, monkeypatch, cap, mess
     code, out, err = run(capsys, *argv, *([] if cap is None else ["--cap", cap]))
     assert (code, out, err) == (1, "", f"CapRequired: {message}\n")
     assert calls == []
+
+
+@pytest.mark.parametrize("line", sorted(PINNED))
+def test_pinned_stdout(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)
+    if line.startswith("recognize"):
+        assert run(capsys, *POLYTOPE_OUT.split())[0] == 0
+    assert run(capsys, *line.split()) == (0, PINNED[line], "")
+
+
+def test_long_vector_prints_one_line_without_a_traceback():
+    # The class enumeration recurses once per entry, so 3,000 entries exceed
+    # the default recursion limit; the CLI reports that as a domain error.
+    src = os.path.dirname(os.path.dirname(toricbundles.__file__))
+    vec = ",".join(["0"] * 2999 + ["1"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricbundles.cli", "census", "--a", vec, "--s", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    # exit 1 with one "Name: message" line, or exit 0 once enumeration is depth-free
+    assert (proc.returncode, len(proc.stderr.splitlines())) in ((0, 0), (1, 1))
+
+
+# Each subcommand's required options first, then its other options.
+OPTIONS = {
+    "census": (["--a", "--s"], ["--kappa", "--infinity", "--cap"]),
+    "equiv": (["--a", "--b", "--s"], []),
+    "polytope": (["--a", "--s", "--kappa"], ["--out"]),
+    "recognize": (["--in"], []),
+    "moves": (["--a", "--b"], []),
+    "hirzebruch": (["--a", "--b"], []),
+    "family": (["--k"], ["--c", "--strategy", "--lift"]),
+}
+VECTORS = ["1,4,4", "4,4,1", "0,0,2", "0,0", "2,3", "5", "0", "3", "1,x", "", "-1"]
+INTS = ["0", "1", "2", "3", "6", "-1", "x"]
+VALUES = {
+    "--a": VECTORS, "--b": VECTORS, "--s": INTS, "--cap": INTS, "--k": INTS,
+    "--c": INTS, "--lift": INTS, "--kappa": ["8", "-3/2", "15/2", "1/0", "x"],
+    "--strategy": ["greedy", "factorial", "bogus"],
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    work = tmp_path_factory.mktemp("cli")
+    (work / "bad.json").write_text('{"dim": 2, "facets": [5]}')
+    return [str(work / name) for name in ("poly.json", "bad.json", "missing.json")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_option_tokens_give_an_exit_code(cli_files, data):
+    command = data.draw(st.sampled_from(sorted(OPTIONS)))
+    required, optional = OPTIONS[command]
+    extra = st.sampled_from(required + optional + ["--infinity", "--json", "--help"])
+    argv = [command]
+    for opt in required + data.draw(st.lists(extra, max_size=3)):
+        argv.append(opt)
+        if opt in ("--out", "--in"):
+            argv.append(data.draw(st.sampled_from(cli_files)))
+        elif opt in VALUES:
+            argv.append(data.draw(st.sampled_from(VALUES[opt])))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2)
+        else:
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()

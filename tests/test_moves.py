@@ -99,7 +99,15 @@ def test_move_path_exhaustive_small():
 
 
 def test_kappa_floor_matches_replay():
-    for a, b in (((0, 0, 9), (3, 3, 3)), ((1, 4), (3, 8)), ((0,), (8,))):
+    pairs = [((0, 0, 9), (3, 3, 3)), ((1, 4), (3, 8)), ((0,), (8,))]
+    for r in (1, 2, 3):
+        vectors = nondecreasing_vectors(r, 8)
+        pairs += [
+            (a, b)
+            for a, b in itertools.product(vectors, repeat=2)
+            if (sum(b) - sum(a)) % (r + 1) == 0
+        ]
+    for a, b in pairs:
         path = move_path(a, b)
         cur = list(a)
         worst = sum(a)
