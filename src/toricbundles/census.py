@@ -10,8 +10,9 @@ the function stabilizes at the finite class size once kappa passes
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import groupby
 
-from .equiv import deformation_class, k_min
+from .equiv import deformation_class, k_min, shift_window
 from .errors import CapRequired, ZeroVector
 from .symfun import Vec, exponent_vector
 
@@ -79,11 +80,10 @@ def census(a, s: int, sigma1_cap=None) -> CensusResult:
     """Group the deformation class of a by the thresholds K_b = sigma_1(b) - s."""
     a = exponent_vector(a)
     cls = deformation_class(a, s, sigma1_cap)
-    groups: dict[int, list[Vec]] = {}
-    for b, _ in cls.members:
-        groups.setdefault(sum(b) - s, []).append(b)
+    # Members come sorted by (sigma_1, lex), so each threshold is one run.
     breakpoints = tuple(
-        Breakpoint(kap, tuple(sorted(groups[kap]))) for kap in sorted(groups)
+        Breakpoint(kap, tuple(b for b, _ in run))
+        for kap, run in groupby(cls.members, key=lambda m: sum(m[0]) - s)
     )
     if s == 1:
         stable: "int | InfiniteMarker" = INFINITE
@@ -101,13 +101,15 @@ def count_at(a, s: int, kappa, sigma1_cap=None) -> int:
     """N(a; kappa) exactly; for s = 1 the cap must reach kappa + s so that no
     member below the threshold is missed."""
     kappa = Fraction(kappa)
-    check_count_cap(s, kappa, sigma1_cap)
+    check_count_cap(a, s, kappa, sigma1_cap)
     return census(a, s, sigma1_cap).count(kappa)
 
 
-def check_count_cap(s: int, kappa, sigma1_cap) -> None:
-    """Raise CapRequired unless a census capped at sigma1_cap counts every
-    member below kappa (always true for s >= 2, whose classes are finite)."""
+def check_count_cap(a, s: int, kappa, sigma1_cap) -> None:
+    """Raise the class's own input errors (from shift_window) first, then
+    CapRequired unless a census capped at sigma1_cap counts every member
+    below kappa (always true for s >= 2, whose classes are finite)."""
+    shift_window(a, s, sigma1_cap)
     kappa = Fraction(kappa)
     if s == 1 and (sigma1_cap is None or sigma1_cap < kappa + s):
         raise CapRequired(

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import families, moves, polytope
 from .census import census, check_count_cap, is_fano, is_monotone, verify_step_structure
-from .equiv import find_shift, k_min, shift_window
+from .equiv import find_shift, k_min
 from .errors import ToricError
 
 
@@ -72,8 +72,7 @@ def _fmt_vec(vec) -> str:
 def cmd_census(args) -> tuple[dict, list[str]]:
     a = _canonical(args.a)
     if args.kappa is not None:
-        shift_window(a, args.s, args.cap)  # the class's own errors come first
-        check_count_cap(args.s, args.kappa, args.cap)
+        check_count_cap(a, args.s, args.kappa, args.cap)
     res = census(a, args.s, sigma1_cap=args.cap)
     fano = is_fano(a, args.s)
     report = None if args.s == 1 else verify_step_structure(res)

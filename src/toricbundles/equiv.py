@@ -31,7 +31,10 @@ class DeformationClass(namedtuple("DeformationClass", "r s members complete boun
 
 def k_min(a, s: int) -> int:
     """The degeneration threshold sigma_1(a) - s; a structure needs kappa above it."""
-    return sum(exponent_vector(a)) - int(s)
+    a = exponent_vector(a)
+    if s < 1:
+        raise ValueError("s must be a positive integer")
+    return sum(a) - int(s)
 
 
 def find_shift(a, b, s: int):
@@ -105,6 +108,8 @@ def enumerate_b(a, c: int, s: int) -> list[Vec]:
     both vanish at i = r+1.  For m = 1 the cap sigma_1(u)^2 cuts nothing.
     """
     a = exponent_vector(a)
+    if s < 1:
+        raise ValueError("s must be a positive integer")
     m = min(len(a) + 1, s)
     sig = elem_sym_all((c,) + shift(a, c), m)
     if sig[1] < 0:

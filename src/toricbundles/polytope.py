@@ -244,28 +244,28 @@ def _corners(P: DelzantPolytope) -> tuple[tuple[Vertex, int], ...]:
     return tuple(out)
 
 
-def _delzant_reason(P: DelzantPolytope, corners) -> str:
-    """Empty string when P (with corners = _corners(P)) is Delzant, else why not."""
-    for i, f in enumerate(P.facets):
-        g = gcd(*(abs(x) for x in f.conormal))
-        if g != 1:
-            return f"conormal {f.conormal} of facet {i} is not primitive (gcd {g})"
-    if not corners:
-        return "the polytope is empty"
-    for v, d in corners:
-        if d not in (1, -1):
-            return f"conormals at vertex {v.point} have determinant {d}"
-    return ""
-
-
 def is_delzant(P: DelzantPolytope) -> DelzantReport:
     """Check the Delzant conditions: simple, primitive conormals, and at every
-    vertex the active conormals form a lattice basis (determinant +-1)."""
+    vertex the active conormals form a lattice basis (determinant +-1).
+
+    The vertices come first, so Unbounded and NotSimple take precedence over
+    a non-primitive conormal.
+    """
     try:
-        reason = _delzant_reason(P, _corners(P))
+        corners = _corners(P)
     except NotSimple as exc:
         return DelzantReport(False, f"not simple: {exc}")
-    return DelzantReport(True) if not reason else DelzantReport(False, reason)
+    for i, f in enumerate(P.facets):
+        g = gcd(*f.conormal)
+        if g != 1:
+            reason = f"conormal {f.conormal} of facet {i} is not primitive (gcd {g})"
+            return DelzantReport(False, reason)
+    if not corners:
+        return DelzantReport(False, "the polytope is empty")
+    for v, d in corners:
+        if d not in (1, -1):
+            return DelzantReport(False, f"conormals at vertex {v.point} have determinant {d}")
+    return DelzantReport(True)
 
 
 def exact_volume(t: BundleTuple) -> Fraction:
@@ -333,28 +333,26 @@ def transform_polytope(P: DelzantPolytope, matrix, translation, scale=1) -> Delz
     return DelzantPolytope(P.dim, tuple(facets))
 
 
-def _facet_key(P: DelzantPolytope):
-    return sorted((f.conormal, f.constant) for f in P.facets)
+def _corner_form(P, v, pair, base, r, s):
+    """Try to normalize P from vertex v, with base as the base facet group.
 
-
-def _corner_form(P, conormals, constants, base_active, fiber_active, far_facet, kappa_facet, r, s):
-    """Try to normalize P from one corner vertex of one facet bipartition.
-
-    base_active / fiber_active are the corner's active facets in each group;
-    far_facet / kappa_facet are the two facets the corner misses.  Returns a
-    RecognizedForm or None.
+    pair is the two facets v misses: one of the base group (the far facet)
+    and one of the fiber group (the kappa facet).  Returns a RecognizedForm,
+    or None unless the normalized facet set equals build(t) exactly.
     """
+    far, kap = pair if pair[0] in base else pair[::-1]
+    base_active = tuple(i for i in sorted(v.active) if i in base)
+    fiber_active = tuple(i for i in sorted(v.active) if i not in base)
+    conormals = [f.conormal for f in P.facets]
+    constants = [f.constant for f in P.facets]
     # The corner's conormals are a lattice basis (P passed the Delzant check).
-    # H has them as columns; U^{-T} = -H^{-1}.
+    # H has them as columns; U^{-T} = -H^{-1} sends them to -e_k, and the far
+    # facet to (1, ..., 1, 0, ..., 0), as the base conormals sum to zero.
     H = la.transpose([conormals[i] for i in base_active + fiber_active])
     uinv_t = tuple(tuple(-x for x in row) for row in la.inverse_unimodular(H))
-    if la.mat_vec(uinv_t, conormals[far_facet]) != (1,) * r + (0,) * s:
-        return None
-    eta_kap = la.mat_vec(uinv_t, conormals[kappa_facet])
-    if eta_kap[r:] != (1,) * s:
-        return None
+    eta_kap = la.mat_vec(uinv_t, conormals[kap])
     # Ordering the base facets by a_i permutes the first r rows of U^{-T}
-    # alike, which leaves the far facet's image (1, ..., 1, 0, ..., 0).
+    # alike, which leaves the far facet's image unchanged.
     perm = sorted(range(r), key=lambda i: (-eta_kap[i], base_active[i]))
     order = tuple(base_active[i] for i in perm)
     eta_kap = tuple(eta_kap[i] for i in perm) + eta_kap[r:]
@@ -362,103 +360,64 @@ def _corner_form(P, conormals, constants, base_active, fiber_active, far_facet, 
     if any(x < 0 for x in avals):
         return None
 
-    denom = constants[far_facet] + sum(constants[i] for i in order)
+    denom = constants[far] + sum(constants[i] for i in order)
     if denom <= 0:
         return None
     lam = Fraction(r + 1) / denom
-    w = tuple(lam * constants[i] - 1 for i in order) + tuple(
-        lam * constants[i] - 1 for i in fiber_active
-    )
-    kappa = lam * constants[kappa_facet] + la.dot(eta_kap, w)
+    w = tuple(lam * constants[i] - 1 for i in order + fiber_active)
+    kappa = lam * constants[kap] + la.dot(eta_kap, w)
     try:
         t = BundleTuple(r, s, avals, kappa)
     except InvalidKappa:
         return None
     # U = -H^T with the base columns in the new order.
     U = tuple(tuple(-x for x in conormals[i]) for i in order + fiber_active)
-    if _facet_key(transform_polytope(P, U, w, lam)) != _facet_key(build(t)):
+    if sorted(transform_polytope(P, U, w, lam).facets) != sorted(build(t).facets):
         return None
     return RecognizedForm(t, U, w, lam)
-
-
-def _facet_groups(m: int, missed) -> list[tuple[int, ...]]:
-    """The two facet groups of a simplex product, smaller first.
-
-    Every vertex misses one facet of each group, so the missed pairs must
-    form the complete bipartite graph on the groups; its sides are found by
-    2-colouring.  Returns [] when the pairs form no such graph with both
-    sides of size at least 2.
-    """
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for i, j in missed:
-        adj[i].append(j)
-        adj[j].append(i)
-    side = [None] * m
-    side[0] = 0
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in adj[i]:
-            if side[j] is None:
-                side[j] = 1 - side[i]
-                stack.append(j)
-            elif side[j] == side[i]:
-                return []
-    groups = [tuple(i for i in range(m) if side[i] == c) for c in (0, 1)]
-    # Distinct vertices miss distinct pairs, so this count means complete.
-    if None in side or min(map(len, groups)) < 2 or len(missed) != len(groups[0]) * len(groups[1]):
-        return []
-    return sorted(groups, key=lambda g: (len(g), g))
 
 
 def recognize(P: DelzantPolytope) -> list[RecognizedForm]:
     """All bundle presentations of a Delzant polytope, sorted by (r, s).
 
-    The facets must number dim + 2 and admit a bipartition into groups of
-    sizes r+1 and s+1 such that every vertex misses exactly one facet of each
-    group (the combinatorics of a simplex product).  For each such assignment
-    the corner conormals are mapped onto the normal-form frame, the scale is
-    pinned by making the base simplex standard, and the candidate is kept only
-    if the transformed facet set equals the normal form exactly.  Per (r, s) a
-    presentation realized without rescaling wins over a rescaled one; a
+    The facets must number dim + 2.  A simple d-polytope with d + 2 facets is
+    a product of two simplices (Kleinschmidt 1988), so each vertex misses one
+    facet of each group: the groups are facet 0's partners in the missed
+    pairs and the rest, and the missed pairs must be exactly the pairs across
+    them, with at least 2 facets per group.  A group whose conormals sum to
+    zero is tried as the base (r + 1 = its size): corner by corner, the
+    corner conormals are mapped onto the normal-form frame and the scale is
+    pinned by making the base simplex standard.  The only acceptance test is
+    that the transformed facet set equals the normal form exactly.  Per (r, s)
+    a presentation realized without rescaling wins over a rescaled one; a
     product polytope (a = 0) is reported under both fibrations.
     """
     n = P.dim
     if len(P.facets) != n + 2:
         raise NotABundle(f"{len(P.facets)} facets, expected dim + 2 = {n + 2}")
-    try:
-        corners = _corners(P)
-    except NotSimple as exc:
-        raise NotABundle(f"not a Delzant polytope: not simple: {exc}")
-    reason = _delzant_reason(P, corners)
-    if reason:
-        raise NotABundle(f"not a Delzant polytope: {reason}")
-    verts = [v for v, _ in corners]
-    m = n + 2
-    conormals = [f.conormal for f in P.facets]
-    constants = [f.constant for f in P.facets]
-    missed = [tuple(sorted(set(range(m)) - v.active)) for v in verts]
+    report = is_delzant(P)
+    if not report:
+        raise NotABundle(f"not a Delzant polytope: {report.reason}")
+    verts = vertices(P)
+    missed = [tuple(sorted(set(range(n + 2)) - v.active)) for v in verts]
+    partners = tuple(sorted(j for i, j in missed if i == 0))
+    groups = [partners, tuple(i for i in range(n + 2) if i not in partners)]
+    cross = sorted((min(i, j), max(i, j)) for i in groups[0] for j in groups[1])
+    if min(map(len, groups)) < 2 or sorted(missed) != cross:
+        raise NotABundle("no facet bipartition matches the bundle normal form")
 
     found: dict[tuple[int, int], RecognizedForm] = {}
-    for base_group in _facet_groups(m, missed):
+    for base in sorted(groups, key=lambda g: (len(g), g)):
         # The base conormals of a normal form sum to zero, and so do their
         # images under any linear map: skip a group that cannot be the base.
-        if any(map(sum, zip(*(conormals[i] for i in base_group)))):
+        if any(map(sum, zip(*(P.facets[i].conormal for i in base)))):
             continue
-        r = len(base_group) - 1
-        s = n - r
-        bset = frozenset(base_group)
-        for v, pr in zip(verts, missed):
-            far = pr[0] if pr[0] in bset else pr[1]
-            kap = pr[1] if far == pr[0] else pr[0]
-            base_active = tuple(i for i in sorted(v.active) if i in bset)
-            fiber_active = tuple(i for i in sorted(v.active) if i not in bset)
-            form = _corner_form(
-                P, conormals, constants, base_active, fiber_active, far, kap, r, s
-            )
+        r = len(base) - 1
+        for v, pair in zip(verts, missed):
+            form = _corner_form(P, v, pair, base, r, n - r)
             if form is None:
                 continue
-            key = (r, s)
+            key = (r, n - r)
             if key not in found or (found[key].scale != 1 and form.scale == 1):
                 found[key] = form
             break

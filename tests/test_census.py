@@ -70,6 +70,11 @@ def test_count_at_pinned():
         count_at((1,), 1, 6)
     with pytest.raises(CapRequired):
         count_at((1,), 1, 6, sigma1_cap=6)
+    # the class's own errors come before the cap check, as in census --kappa
+    with pytest.raises(CapRequired, match="^sigma1_cap = 3 is below sigma_1"):
+        count_at((5,), 1, 9, sigma1_cap=3)
+    with pytest.raises(ZeroVector):
+        count_at((0, 0), 1, 9)
 
 
 def test_count_at_infinity_pinned():
@@ -92,6 +97,8 @@ def test_fano_and_monotone():
     assert is_fano((1, 1), 2)
     assert is_fano((1,), 1)
     assert not is_fano((3,), 1)
+    with pytest.raises(ValueError, match="^s must be a positive integer$"):
+        is_fano((1, 2), -5)
     assert is_monotone(1)
     assert is_monotone(Fraction(2, 2))
     assert not is_monotone(Fraction(15, 2))

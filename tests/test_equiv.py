@@ -20,6 +20,7 @@ from toricbundles import (
     elem_sym,
     enumerate_b,
     find_shift,
+    k_min,
     shift,
     sigma2_holds,
 )
@@ -79,6 +80,13 @@ def test_enumerate_b_pinned():
         (3, 6),
         (4, 5),
     ]
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_nonpositive_s_is_rejected(s):
+    for call in (lambda: enumerate_b((1, 2), 0, s), lambda: k_min((1, 2), s)):
+        with pytest.raises(ValueError, match="^s must be a positive integer$"):
+            call()
 
 
 def test_enumerate_b_matches_brute_force():

@@ -139,6 +139,10 @@ SPECIAL = [
         3, tuple(Facet(c, 1) for c in ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1)))
     ),
     DelzantPolytope(2, tuple(Facet(c, Fraction(3, 2)) for c in SQUARE)),
+    # a triangle with a redundant facet: Delzant, dim + 2 facets, one group of 1
+    DelzantPolytope(
+        2, (Facet((-1, 0), 1), Facet((0, -1), 1), Facet((1, 1), 1), Facet((1, 0), 5))
+    ),
 ]
 
 
