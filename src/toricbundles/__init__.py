@@ -6,6 +6,13 @@ counting step function, builds and recognizes the underlying Delzant
 polytopes, constructs explicit move sequences in the s = 1 case, and
 generates certified families with arbitrarily many inequivalent toric
 structures.  All arithmetic is exact (integers and rationals).
+
+``census``, ``equiv``, ``errors`` and ``symfun`` load with the package.  The
+names from ``families``, ``moves`` and ``polytope`` load on first use (PEP 562
+``__getattr__``), so that a census or equivalence query, or a bare CLI start,
+never compiles or runs them.  ``census`` cannot be deferred: importing a
+submodule binds it as a package attribute, which would replace the function
+``census`` with the module ``census``.
 """
 
 from .census import (
@@ -43,37 +50,6 @@ from .errors import (
     Unbounded,
     ZeroVector,
 )
-from .families import (
-    FamilyCertificate,
-    Witness,
-    coprime_sequence,
-    generate_family,
-    lift_class,
-)
-from .moves import (
-    MovePath,
-    apply_move,
-    e1,
-    eij,
-    hirzebruch_equiv,
-    move_path,
-)
-from .polytope import (
-    BundleTuple,
-    DelzantPolytope,
-    DelzantReport,
-    Facet,
-    RecognizedForm,
-    Vertex,
-    build,
-    exact_volume,
-    fiber_fingerprint,
-    is_delzant,
-    nominal_volume,
-    recognize,
-    transform_polytope,
-    vertices,
-)
 from .symfun import (
     chern_coeffs,
     elem_sym,
@@ -82,6 +58,18 @@ from .symfun import (
     shift,
     truncated_sym_equal,
 )
+
+# The names that the package's __getattr__ loads from their submodule.
+_LAZY = {
+    "families": ("FamilyCertificate", "Witness", "coprime_sequence", "generate_family",
+                 "lift_class"),
+    "moves": ("MovePath", "apply_move", "e1", "eij", "hirzebruch_equiv", "move_path"),
+    "polytope": ("BundleTuple", "DelzantPolytope", "DelzantReport", "Facet",
+                 "RecognizedForm", "Vertex", "build", "exact_volume", "fiber_fingerprint",
+                 "is_delzant", "nominal_volume", "recognize", "transform_polytope",
+                 "vertices"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -147,3 +135,15 @@ __all__ = [
     "verify_step_structure",
     "vertices",
 ]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -21,7 +21,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import families, moves, polytope
 from .census import census, check_count_cap, is_fano, is_monotone, verify_step_structure
 from .equiv import find_shift, k_min
 from .errors import ToricError
@@ -128,6 +127,7 @@ def cmd_equiv(args) -> tuple[dict, list[str]]:
 
 
 def cmd_polytope(args) -> tuple[dict, list[str]]:
+    from . import polytope
     a = _canonical(args.a)
     t = polytope.BundleTuple(len(a), args.s, a, args.kappa)
     P = polytope.build(t)
@@ -167,6 +167,7 @@ def cmd_polytope(args) -> tuple[dict, list[str]]:
 
 
 def cmd_recognize(args) -> tuple[dict, list[str]]:
+    from . import polytope
     with open(args.infile, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     forms = polytope.recognize(polytope.DelzantPolytope.from_json_obj(data))
@@ -200,6 +201,7 @@ def _fmt_step(step) -> str:
 
 
 def cmd_moves(args) -> tuple[dict, list[str]]:
+    from . import moves
     path = moves.move_path(_canonical(args.a), _canonical(args.b))
     lines = [
         f"path from {_fmt_vec(path.start)} to {_fmt_vec(path.end)}: "
@@ -214,6 +216,7 @@ def cmd_moves(args) -> tuple[dict, list[str]]:
 
 
 def cmd_hirzebruch(args) -> tuple[dict, list[str]]:
+    from . import moves
     verdict = moves.hirzebruch_equiv(args.a, args.b)
     diff = abs(args.b - args.a)
     word = "even" if verdict else "odd"
@@ -222,6 +225,7 @@ def cmd_hirzebruch(args) -> tuple[dict, list[str]]:
 
 
 def cmd_family(args) -> tuple[dict, list[str]]:
+    from . import families
     cert = families.generate_family(args.k, args.c, args.strategy)
     obj = cert._asdict()
     obj["witnesses"] = [w._asdict() for w in cert.witnesses]

@@ -50,6 +50,21 @@ def sigma_newton(v, i):
     return e[i]
 
 
+def class_key(v, s):
+    """Shift-criterion invariant: equal keys exactly when find_shift succeeds.
+
+    With n = r + 1 and S = sigma_1(v), the shift C exists as an integer iff
+    S mod n agrees, and the shifted sigmas up to m = min(r + 1, s) agree iff
+    (Newton) the power sums of the centred multiset {n*u - S : u in {0} + v}
+    agree for k = 2..m; the k = 1 sum is always 0.
+    """
+    r, total = len(v), sum(v)
+    n = r + 1
+    centred = [n * u - total for u in (0, *v)]
+    sums = tuple(sum(x**k for x in centred) for k in range(2, min(r + 1, s) + 1))
+    return r, total % n, sums
+
+
 def nondecreasing_vectors(r, max_sum, include_zero=True):
     """All sorted non-negative integer vectors of length r with sum <= max_sum."""
     out = []

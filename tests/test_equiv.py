@@ -7,8 +7,8 @@ from fractions import Fraction
 from math import ceil, floor
 
 import pytest
-from conftest import nondecreasing_vectors, sigma_newton
-from hypothesis import given, settings
+from conftest import class_key, nondecreasing_vectors, sigma_newton
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricbundles import (
@@ -208,6 +208,33 @@ def test_deformation_class_s1_capped_matches_brute_force():
                     key=lambda bc: (sum(bc[0]), bc[0]),
                 )
                 assert deformation_class(a, 1, cap).members == tuple(brute), (a, cap)
+
+
+def _reflect(a):
+    """b with {0} + b = max - ({0} + a): same sigma_1 residue and same even
+    centred power sums, so equivalent to a when m = min(r + 1, s) <= 2."""
+    top = max(a)
+    return tuple(sorted(top - u for u in (0, *a)))[1:]
+
+
+def _congruent(v, a):
+    """v with its last entry raised until sigma_1 is congruent to a's mod r + 1."""
+    return v[:-1] + (v[-1] + (sum(a) - sum(v)) % (len(a) + 1),)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_class_key_decides_equivalence(data):
+    r = data.draw(st.integers(1, 5), label="r")
+    s = data.draw(st.integers(1, 7), label="s")
+    vec = st.lists(st.integers(0, 12), min_size=r, max_size=r).map(lambda v: tuple(sorted(v)))
+    a = data.draw(vec, label="a")
+    b = data.draw(
+        st.one_of(vec, st.just(a), st.just(_reflect(a)), vec.map(lambda v: _congruent(v, a))),
+        label="b",
+    )
+    assume(any(a) or any(b))
+    assert (class_key(a, s) == class_key(b, s)) == (find_shift(a, b, s) is not None)
 
 
 def test_membership_is_an_equivalence_relation():

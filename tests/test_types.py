@@ -13,25 +13,67 @@ from toricbundles.polytope import _corners
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# Import the package and the CLI the way a fresh `toricbundles` call does.
-# Loading these modules, and dataclass decoration, took about a third of a
-# CLI call's start-up.
-# -S keeps site hooks, which may preload modules, out of the check.
+# Import the package and build the CLI parser the way a fresh `toricbundles`
+# call does.  Loading these modules, and dataclass decoration, took about a
+# third of a CLI call's start-up; `polytope`, `families` and `moves` load on
+# first use, so a census or equiv call never compiles them.
 COLD_START = (
-    "import sys, toricbundles, toricbundles.cli; "
-    "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    "import sys, toricbundles, toricbundles.cli; toricbundles.cli._build_parser(); "
+    "print(sorted({'dataclasses', 'inspect', 'typing', 'toricbundles.polytope', "
+    "'toricbundles._linalg', 'toricbundles.families', 'toricbundles.moves'} "
+    "& set(sys.modules)))"
 )
 
+# Resolve every exported name, run the CLI commands that load the deferred
+# modules, then import one of them directly: `census` must stay the function,
+# not become the submodule of the same name.
+SURFACE = """
+import io, sys
+from contextlib import redirect_stdout
+import toricbundles as tb
+from toricbundles import cli
+census = sys.modules["toricbundles.census"].census
+assert set(tb.__all__) <= set(dir(tb)), set(tb.__all__) - set(dir(tb))
+for name in tb.__all__:
+    obj = getattr(tb, name)
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert vars(tb)[name] is obj, name
+for argv in (["census", "--a", "1,4,4", "--s", "2"], ["polytope", "--a", "1,2", "--s", "2",
+             "--kappa", "5"], ["family", "--k", "3"]):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert tb.census is census, argv
+import toricbundles.polytope
+assert tb.census is census
+try:
+    tb.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
 
-def test_import_loads_no_dataclasses_inspect_or_typing():
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", COLD_START],
+
+def _fresh(code):
+    """stdout of code run in a fresh interpreter; -S keeps site hooks, which
+    may preload modules, out of the check."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
-        check=True,
     )
-    assert out.stdout == "[]\n"
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    assert _fresh(COLD_START) == "[]\n"
+
+
+def test_package_surface_in_a_fresh_interpreter():
+    assert _fresh(SURFACE) == "module 'toricbundles' has no attribute 'no_such_name'\n"
+    star = "import toricbundles as tb; from toricbundles import *; print(len(tb.__all__), "
+    star += "sorted(n for n in tb.__all__ if globals().get(n) is not getattr(tb, n)))"
+    assert _fresh(star) == "60 []\n"
 
 
 SEGMENT = "tb.DelzantPolytope(1, (tb.Facet((-1,), 0), tb.Facet((1,), Fraction(1, 2))))"
