@@ -11,9 +11,8 @@ follow one rule: a Fraction or the INFINITE marker prints as its str, in the
 text lines and in JSON alike (as a string there, like "15/2" or "infinite").
 
 Exit codes: 0 success, 1 domain error (printed as "Name: message" on
-stderr; a vector too long for the recursive class enumeration reports
-RecursionError the same way), 2 usage or file problems.  All output is
-deterministic byte for byte.
+stderr), 2 usage or file problems.  All output is deterministic byte for
+byte.
 """
 
 import argparse
@@ -325,7 +324,7 @@ def main(argv=None) -> int:
         obj, lines = args.func(args)
         print(json.dumps(obj, indent=2, default=str) if args.json else "\n".join(lines))
         return 0
-    except (ToricError, RecursionError) as exc:
+    except ToricError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

@@ -5,13 +5,13 @@ deformation equivalent exactly when some integer shift C makes the first
 min(r+1, s) elementary symmetric functions of (C, a_1+C, ..., a_r+C) agree
 with those of (0, b_1, ..., b_r).  Since sigma_1 pins C, equivalence testing
 is a single divisibility plus finitely many sigma comparisons, and for s >= 2
-whole classes are finite; the bounded C-range and the balanced-vector sigma_2
-pruning below make their enumeration exhaustive and fast.
+whole classes are finite; a bounded C-range, sigma_2 pruning and (over CP^2) a
+quadratic root leaf make their enumeration exhaustive and fast.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, isqrt
 
 from .errors import CapRequired, LengthMismatch, ZeroVector
 from .symfun import Vec, elem_sym_all, exponent_vector, shift, truncated_sym_equal
@@ -29,12 +29,16 @@ class DeformationClass(namedtuple("DeformationClass", "r s members complete boun
         return tuple(b for b, _ in self.members)
 
 
+def _check_s(s) -> None:
+    if isinstance(s, bool) or not isinstance(s, int) or s < 1:
+        raise ValueError("s must be a positive integer")
+
+
 def k_min(a, s: int) -> int:
     """The degeneration threshold sigma_1(a) - s; a structure needs kappa above it."""
     a = exponent_vector(a)
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    return sum(a) - int(s)
+    _check_s(s)
+    return sum(a) - s
 
 
 def find_shift(a, b, s: int):
@@ -48,8 +52,7 @@ def find_shift(a, b, s: int):
     b = exponent_vector(b)
     if len(a) != len(b):
         raise LengthMismatch(f"vectors have lengths {len(a)} and {len(b)}")
-    if s < 1:
-        raise ValueError("s must be a positive integer")
+    _check_s(s)
     if not any(a) and not any(b):
         raise ZeroVector(
             "both vectors are zero: the tuples are products and the shift "
@@ -79,24 +82,32 @@ def c_bounds(a) -> tuple[Fraction, Fraction]:
     return Fraction(-s1, r + 1), Fraction((r - 1) * s1, r)
 
 
-def _compositions(slots, remaining, cap, prefix=(), lo=0, psum=0, ps2=0):
-    """Stream prefix + t, in lexicographic order, for the non-decreasing t of
-    `slots` entries >= lo that sum to `remaining` with sigma_2(prefix + t) <= cap.
+def _compositions(slots, total, cap, exact=False):
+    """Stream the non-decreasing non-negative t of slots >= 2 entries summing to
+    total with sigma_2(t) <= cap (== cap if exact), in lexicographic order.
 
-    psum and ps2 are sigma_1 and sigma_2 of the prefix.  Entries are
-    non-negative, so sigma_2 only grows and a value over the cap ends its level.
+    An explicit stack walks the prefixes; sigma_2 only grows, so it bounds each
+    entry.  A leaf places the last two: a plain loop, or if exact the integer
+    roots (p -+ d)/2 of t^2 - p t + q, for p the sum still to place,
+    q = cap - sigma_2(prefix) - sigma_1(prefix) p and d = isqrt(p^2 - 4q) (which
+    has p's parity), with the smaller root at least the last prefix entry.
     """
-    if slots == 1:
-        if remaining >= lo and ps2 + psum * remaining <= cap:
-            yield prefix + (remaining,)
-        return
-    for v in range(lo, remaining // slots + 1):
-        ns2 = ps2 + psum * v
-        if ns2 > cap:
-            break
-        yield from _compositions(
-            slots - 1, remaining - v, cap, prefix + (v,), v, psum + v, ns2
-        )
+    stack = [((), 0, 0, 0)]
+    while stack:
+        prefix, lo, psum, ps2 = stack.pop()
+        p, k = total - psum, slots - len(prefix)
+        hi = min(p // k, (cap - ps2) // psum) if psum else p // k
+        if k > 2:
+            stack.extend((prefix + (v,), v, psum + v, ps2 + psum * v)
+                         for v in range(hi, lo - 1, -1))
+        elif exact:
+            disc = p * p - 4 * (cap - ps2 - psum * p)
+            if disc >= 0 and (d := isqrt(disc)) ** 2 == disc and p - d >= 2 * lo:
+                yield prefix + ((p - d) // 2, (p + d) // 2)
+        else:
+            for v in range(lo, hi + 1):
+                if ps2 + psum * p + v * (p - v) <= cap:
+                    yield prefix + (v, p - v)
 
 
 def enumerate_b(a, c: int, s: int) -> list[Vec]:
@@ -105,16 +116,17 @@ def enumerate_b(a, c: int, s: int) -> list[Vec]:
     The sigmas of u = (C, a+C) are computed once.  Compositions of sigma_1(u)
     are streamed under the sigma_2(u) cut and kept when their first
     m = min(r+1, s) sigmas equal those of u: sigma_i(0, b) = sigma_i(b), and
-    both vanish at i = r+1.  For m = 1 the cap sigma_1(u)^2 cuts nothing.
+    both vanish at i = r+1.  At m = 2 the walk solves for the last two entries
+    from sigma_2(u); at m = 1 the cap sigma_1(u)^2 cuts nothing; r = 1 forces b.
     """
     a = exponent_vector(a)
-    if s < 1:
-        raise ValueError("s must be a positive integer")
+    _check_s(s)
     m = min(len(a) + 1, s)
     sig = elem_sym_all((c,) + shift(a, c), m)
     if sig[1] < 0:
         return []
-    candidates = _compositions(len(a), sig[1], sig[2] if m >= 2 else sig[1] ** 2)
+    cap = sig[2] if m >= 2 else sig[1] ** 2
+    candidates = _compositions(len(a), sig[1], cap, m == 2) if len(a) > 1 else [(sig[1],)]
     return [b for b in candidates if elem_sym_all(b, m) == sig]
 
 
@@ -143,8 +155,7 @@ def shift_window(a, s: int, sigma1_cap=None) -> tuple[range, str]:
     input errors, so a query can be checked before it is enumerated.
     """
     a = exponent_vector(a)
-    if s < 1:
-        raise ValueError("s must be a positive integer")
+    _check_s(s)
     if not any(a):
         raise ZeroVector(
             "a = 0 is a product of projective spaces; its extra fibration is "

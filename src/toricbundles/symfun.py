@@ -62,7 +62,7 @@ def chern_coeffs(v, m: int) -> list[int]:
 def exponent_vector(entries) -> Vec:
     """Validate and return a canonical exponent vector (non-negative, sorted).
 
-    Raises ValueError on an empty vector, a negative or non-integer entry,
+    Raises ValueError on an empty vector, a negative, boolean or non-integer entry,
     or entries out of non-decreasing order; callers that accept unsorted
     user input should sort before calling.
     """
@@ -70,7 +70,7 @@ def exponent_vector(entries) -> Vec:
     if not v:
         raise ValueError("an exponent vector must have length >= 1")
     for x in v:
-        if not isinstance(x, int):
+        if isinstance(x, bool) or not isinstance(x, int):
             raise ValueError(f"exponent entries must be integers, got {x!r}")
         if x < 0:
             raise ValueError(f"exponent entries must be non-negative, got {x}")

@@ -82,6 +82,17 @@ def nondecreasing_vectors(r, max_sum, include_zero=True):
     return out
 
 
+def class_table(r, s, sigma1_max):
+    """Every nonzero sorted vector of length r with sigma_1 <= sigma1_max, grouped
+    by class_key and ordered by (sigma_1, lex) within a group: a's group is its
+    deformation class over CP^s once sigma1_max covers a's shift window."""
+    table = {}
+    vectors = nondecreasing_vectors(r, sigma1_max, include_zero=False)
+    for v in sorted(vectors, key=lambda v: (sum(v), v)):
+        table.setdefault(class_key(v, s), []).append(v)
+    return table
+
+
 def random_unimodular(rng: random.Random, n: int):
     """A random integer matrix of determinant +-1 built from elementary operations."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import nondecreasing_vectors, scramble_polytope
+from conftest import class_key, class_table, nondecreasing_vectors, scramble_polytope
 
 from toricbundles import (
     BundleTuple,
@@ -154,6 +154,29 @@ def test_c09_pruned_census_equals_unpruned():
                 slow = deformation_class(a, s, prune=False)
                 assert fast.members == slow.members, (a, s)
     print("criterion 09 PASS: the second-symmetric-function cutoff loses nothing")
+
+
+# (r, largest query sigma_1): a query's members have sigma_1 < (r + 1) times its own
+KEY_SWEEP = ((2, 40), (3, 16), (4, 10), (5, 7))
+
+
+def test_classes_equal_their_key_groups():
+    # an oracle that shares nothing with the shift scan: one pass over all
+    # vectors up to the largest member sigma_1, grouped by class_key
+    checked = 0
+    for r, top in KEY_SWEEP:
+        for s in range(2, r + 1):
+            table = class_table(r, s, (r + 1) * top)
+            for a in nondecreasing_vectors(r, top, include_zero=False):
+                assert deformation_class(a, s).vectors == tuple(table[class_key(a, s)]), (a, s)
+                checked += 1
+    print(f"key sweep PASS: {checked} classes over 2 <= s <= r <= 5 equal their key groups")
+
+
+def test_r5_pruned_classes_equal_unpruned():
+    for a in nondecreasing_vectors(5, 12, include_zero=False):
+        assert deformation_class(a, 2).members == deformation_class(a, 2, prune=False).members, a
+    print("r = 5 sweep PASS: the cutoff loses nothing over CP^2")
 
 
 def test_c10_certified_family_of_three():

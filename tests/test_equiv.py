@@ -16,6 +16,7 @@ from toricbundles import (
     LengthMismatch,
     ZeroVector,
     c_bounds,
+    census,
     deformation_class,
     elem_sym,
     enumerate_b,
@@ -82,11 +83,32 @@ def test_enumerate_b_pinned():
     ]
 
 
-@pytest.mark.parametrize("s", [0, -1])
+@pytest.mark.parametrize("s", [0, -1, 2.5, 2.0, True])
 def test_nonpositive_s_is_rejected(s):
-    for call in (lambda: enumerate_b((1, 2), 0, s), lambda: k_min((1, 2), s)):
+    for call in (
+        lambda: enumerate_b((1, 2), 0, s),
+        lambda: k_min((1, 2), s),
+        lambda: find_shift((1, 2), (1, 2), s),
+        lambda: deformation_class((1, 2), s),
+    ):
         with pytest.raises(ValueError, match="^s must be a positive integer$"):
             call()
+
+
+def test_boolean_entries_are_rejected():
+    message = "^exponent entries must be integers, got (True|False)$"
+    for call in (lambda: census((True, 2), 2), lambda: find_shift((1, 2), (False, 3), 2)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_enumeration_does_not_recurse_per_entry():
+    # more entries than the default recursion limit of 1,000 frames
+    a = (0,) * 999 + (1,)
+    assert deformation_class(a, 2).vectors == (a,)
+    assert census(a, 2).vectors == (a,)
+    assert enumerate_b(a, 0, 2) == [a]
+    assert deformation_class(a, 1, sigma1_cap=3).vectors == (a,)
 
 
 def test_enumerate_b_matches_brute_force():
@@ -235,6 +257,20 @@ def test_class_key_decides_equivalence(data):
     )
     assume(any(a) or any(b))
     assert (class_key(a, s) == class_key(b, s)) == (find_shift(a, b, s) is not None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 10**30), st.integers(1, 10**30))
+def test_quadratic_leaf_is_exact_on_big_integers(x, y):
+    # r = 2, s = 2: each shift fixes sigma_1 and sigma_2 of (0, b), so its only
+    # member is the root pair; a float square root loses it at this size
+    y += -(x + y) % 3
+    a = tuple(sorted((x, y)))
+    b = _reflect(a)
+    c = find_shift(a, b, 2)
+    assert c is not None
+    assert enumerate_b(a, c, 2) == [b]
+    assert enumerate_b(a, 0, 2) == [a]
 
 
 def test_membership_is_an_equivalence_relation():
